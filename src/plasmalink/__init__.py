@@ -55,7 +55,7 @@ from .link import (
     snr_to_noise_variance,
     transmit,
 )
-from .net import SmnModel, init_model, load_model, project, save_model
+from .net import SmnModel, init_model, project
 from .physics import (
     ChannelParams,
     DensityTrajectory,
@@ -103,7 +103,6 @@ __all__ = [
     "genie_ml",
     "init_model",
     "load_config",
-    "load_model",
     "load_sequence_csv",
     "m_step",
     "pilot_interp_ml",
@@ -117,7 +116,6 @@ __all__ = [
     "run_learning_snapshots",
     "run_ser_sweep",
     "save_config",
-    "save_model",
     "save_sequence_csv",
     "snr_to_noise_variance",
     "supervised_dnn",

@@ -16,6 +16,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .link import Constellation, Frame, ReceivedSequence
+from .net import adam_step, init_adam, mlp_backward, mlp_forward, param_count
 from .seeding import role_rng
 
 __all__ = [
@@ -96,9 +97,8 @@ def supervised_dnn(received: ReceivedSequence, frame: Frame,
     """
     rng = role_rng(rng_seed, "dnn")
     k = constellation.order
-    h = config.hidden_units
-    shapes = [(h, 2), (h,), (h, h), (h,), (k, h), (k,)]
-    params = [config.init_std * rng.standard_normal(s) for s in shapes]
+    widths = (2, config.hidden_units, config.hidden_units, k)
+    params = config.init_std * rng.standard_normal(param_count(widths))
 
     x_train = received.iq()[frame.pilot_positions]
     labels = frame.symbols[frame.pilot_positions]
@@ -106,42 +106,17 @@ def supervised_dnn(received: ReceivedSequence, frame: Frame,
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
 
-    def forward(params, x):
-        w1, b1, w2, b2, w3, b3 = params
-        a1 = np.tanh(x @ w1.T + b1)
-        a2 = np.tanh(a1 @ w2.T + b2)
-        logits = a2 @ w3.T + b3
-        return a1, a2, logits
-
-    # Adam state
-    mom = [np.zeros_like(p) for p in params]
-    vel = [np.zeros_like(p) for p in params]
-    b1c, b2c, eps = 0.9, 0.999, 1e-8
-    for t in range(1, config.steps + 1):
-        a1, a2, logits = forward(params, x_train)
-        probs = _softmax(logits)
+    state = init_adam(params)
+    for _ in range(config.steps):
+        logits, cache = mlp_forward(widths, params, x_train)
         # mean cross-entropy gradient
-        g_logits = (probs - onehot) / n
-        w1, b1, w2, b2, w3, b3 = params
-        g_w3 = g_logits.T @ a2
-        g_b3 = g_logits.sum(axis=0)
-        g_a2 = g_logits @ w3
-        g_z2 = g_a2 * (1.0 - a2 * a2)
-        g_w2 = g_z2.T @ a1
-        g_b2 = g_z2.sum(axis=0)
-        g_a1 = g_z2 @ w2
-        g_z1 = g_a1 * (1.0 - a1 * a1)
-        g_w1 = g_z1.T @ x_train
-        g_b1 = g_z1.sum(axis=0)
-        grads = [g_w1, g_b1, g_w2, g_b2, g_w3, g_b3]
-        for i, (p, g) in enumerate(zip(params, grads)):
-            mom[i] = b1c * mom[i] + (1 - b1c) * g
-            vel[i] = b2c * vel[i] + (1 - b2c) * g * g
-            mhat = mom[i] / (1 - b1c ** t)
-            vhat = vel[i] / (1 - b2c ** t)
-            params[i] = p - config.learning_rate * mhat / (np.sqrt(vhat) + eps)
+        g_logits = (_softmax(logits) - onehot) / n
+        grads = np.zeros_like(params)
+        mlp_backward(widths, params, cache, g_logits, grads)
+        params, state = adam_step(params, grads, state,
+                                  learning_rate=config.learning_rate)
 
-    _, _, logits = forward(params, received.iq())
+    logits, _ = mlp_forward(widths, params, received.iq())
     return BaselineResult(name="supervised_dnn",
                           decisions=np.argmax(logits, axis=1))
 

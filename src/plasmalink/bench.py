@@ -31,7 +31,7 @@ from .baselines import (
     supervised_dnn,
 )
 from .em import EmSchedule, demodulate, extract_fading_curve, fit
-from .exceptions import ConfigError
+from .exceptions import ConfigError, NonFiniteError
 from .link import (
     build_constellation,
     build_frame,
@@ -127,6 +127,19 @@ class ExperimentConfig:
             raise ConfigError(f"unknown receivers {sorted(unknown)}")
         if self.trials < 1 or self.workers < 1:
             raise ConfigError("trials and workers must be >= 1")
+        for name in ("receivers", "snr_db", "pilot_intervals"):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigError(f"{name} must not be empty")
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} has duplicate values: {values}")
+        if not np.all(np.isfinite(self.snr_db)):
+            raise ConfigError(f"snr_db values must be finite: {self.snr_db}")
+        bad = [i for i in self.pilot_intervals
+               if not 1 <= i <= self.frame_length]
+        if bad:
+            raise ConfigError(f"pilot intervals {bad} outside "
+                              f"1..frame_length ({self.frame_length})")
 
     def schedule(self) -> EmSchedule:
         return EmSchedule(pretrain_steps=self.pretrain_steps,
@@ -377,7 +390,9 @@ def _run_cell(config: ExperimentConfig, gains: np.ndarray, es: float,
                                            config=config.dnn_config()).decisions
             out[receiver] = compute_ser(decisions, frame.symbols,
                                         frame.payload_positions)
-        except Exception as exc:  # cell isolation: record, keep sweeping
+        except (ConfigError, NonFiniteError, FloatingPointError) as exc:
+            # a cell that cannot be fitted: record it, keep sweeping; any
+            # other exception is a bug (or a broken invariant) and aborts
             out[receiver] = f"failed: {type(exc).__name__}: {exc}"
     return out
 
@@ -389,8 +404,10 @@ def _cell_worker(args):
 def run_ser_sweep(config: ExperimentConfig):
     """SER per (receiver, SNR, interval), aggregated over trials.
 
-    Writes ser_sweep.csv plus the archived config; failed cells keep their
-    row with empty numeric fields and the failure reason in `status`.
+    Writes ser_sweep.csv plus the archived config. A trial that fails with
+    a ConfigError or a floating-point error (NaN/Inf) is left out of its
+    row's counts (ser is NaN if no trial ran) and named in `status`; any
+    other exception aborts the sweep.
     """
     out_dir = config.resolve_out_dir()
     _archive_config(out_dir, config)

@@ -130,10 +130,11 @@ def pilot_weights(frame: Frame, order: int) -> np.ndarray:
 def _train(model: SmnModel, y: np.ndarray, w: np.ndarray, steps: int,
            learning_rate: float, step_hook=None) -> SmnModel:
     """Fresh-Adam full-batch run on the weighted projection error."""
-    state = init_adam(collect_params(model))
+    params = collect_params(model)
+    state = init_adam(params)
     for step in range(steps):
         _, grads = loss_and_gradients(model, y, w)
-        params, state = adam_step(collect_params(model), grads, state,
+        params, state = adam_step(params, grads, state,
                                   learning_rate=learning_rate)
         model = with_params(model, params)
         if step_hook is not None:

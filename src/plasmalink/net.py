@@ -16,8 +16,11 @@ matrix T_k lifts it onto symbol k's curve. For x_k = re + j*im,
 which is multiplication by x_k in IQ coordinates. The transforms encode the
 constellation symmetry exactly and are never trained.
 
-Everything here is plain numpy with hand-written backprop; model and
-optimizer updates are functional (new objects out, inputs untouched).
+Everything here is plain numpy with hand-written backprop. All trainable
+parameters live in one flat float64 vector: encoder 0, ..., encoder K-1,
+then the decoder; within each MLP, layer by layer, the (fan_out, fan_in)
+weight matrix in row-major order followed by the bias. Model and optimizer
+updates are functional (new objects out, inputs untouched).
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ from .link import Constellation
 from .seeding import role_rng
 
 __all__ = [
-    "DenseLayer",
-    "Mlp",
     "SmnModel",
     "AdamState",
     "symbol_transforms",
+    "param_count",
     "init_model",
     "mlp_forward",
     "mlp_backward",
@@ -49,41 +51,38 @@ __all__ = [
     "with_params",
     "init_adam",
     "adam_step",
-    "reset_optimizer",
-    "save_model",
-    "load_model",
 ]
 
 
-@dataclass(frozen=True)
-class DenseLayer:
-    weights: np.ndarray  # (fan_out, fan_in)
-    bias: np.ndarray     # (fan_out,)
-
-
-@dataclass(frozen=True)
-class Mlp:
-    """Fully connected stack; tanh after every layer except the last."""
-
-    layers: tuple[DenseLayer, ...]
-
-    def widths(self) -> tuple[int, ...]:
-        return (self.layers[0].weights.shape[1],
-                *(layer.weights.shape[0] for layer in self.layers))
+def param_count(widths) -> int:
+    """Length of the flat parameter block of an MLP with these widths."""
+    return sum((fan_in + 1) * fan_out
+               for fan_in, fan_out in zip(widths[:-1], widths[1:]))
 
 
 @dataclass(frozen=True)
 class SmnModel:
     """K encoders (IQ -> curve coordinate), one shared polar decoder."""
 
-    encoders: tuple[Mlp, ...]
-    decoder: Mlp
+    params: np.ndarray      # flat, every encoder by symbol, then the decoder
+    encoder_widths: tuple   # (2, hidden, 1)
+    decoder_widths: tuple   # (1, hidden, 2)
     transforms: np.ndarray  # (K, 2, 2), fixed, never trained
     noise_variance: float
 
     @property
     def order(self) -> int:
-        return len(self.encoders)
+        return self.transforms.shape[0]
+
+    def encoder_slice(self, k: int) -> slice:
+        """Where symbol k's encoder sits in the flat parameter vector."""
+        n = param_count(self.encoder_widths)
+        return slice(k * n, (k + 1) * n)
+
+    @property
+    def decoder_slice(self) -> slice:
+        """Where the shared decoder sits in the flat parameter vector."""
+        return slice(self.order * param_count(self.encoder_widths), None)
 
 
 def symbol_transforms(constellation: Constellation) -> np.ndarray:
@@ -98,55 +97,66 @@ def symbol_transforms(constellation: Constellation) -> np.ndarray:
     return t
 
 
-def _init_mlp(widths, rng, std) -> Mlp:
-    layers = []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        layers.append(DenseLayer(
-            weights=std * rng.standard_normal((fan_out, fan_in)),
-            bias=std * rng.standard_normal(fan_out)))
-    return Mlp(layers=tuple(layers))
-
-
 def init_model(constellation: Constellation, rng_seed: int,
                hidden_units: int = 4, init_std: float = 0.1,
                noise_variance: float = 1.0) -> SmnModel:
     """Fresh model with all weights and biases drawn from N(0, init_std^2)."""
     rng = role_rng(rng_seed, "init")
-    encoders = tuple(_init_mlp((2, hidden_units, 1), rng, init_std)
-                     for _ in range(constellation.order))
-    decoder = _init_mlp((1, hidden_units, 2), rng, init_std)
-    return SmnModel(encoders=encoders, decoder=decoder,
+    enc, dec = (2, hidden_units, 1), (1, hidden_units, 2)
+    size = constellation.order * param_count(enc) + param_count(dec)
+    return SmnModel(params=init_std * rng.standard_normal(size),
+                    encoder_widths=enc, decoder_widths=dec,
                     transforms=symbol_transforms(constellation),
                     noise_variance=float(noise_variance))
 
 
-def mlp_forward(mlp: Mlp, x: np.ndarray):
-    """Returns (output, cache); cache holds per-layer activations."""
+def _layers(widths, block):
+    """(weights, bias) views of every layer of a flat parameter block."""
+    layers, pos = [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        end = pos + fan_out * fan_in
+        layers.append((block[pos:end].reshape(fan_out, fan_in),
+                       block[end:end + fan_out]))
+        pos = end + fan_out
+    return layers
+
+
+def mlp_forward(widths, block: np.ndarray, x: np.ndarray):
+    """Fully connected stack; tanh after every layer except the last.
+
+    Returns (output, cache); cache holds per-layer activations.
+    """
     a = x
     cache = [a]
-    last = len(mlp.layers) - 1
-    for idx, layer in enumerate(mlp.layers):
-        z = a @ layer.weights.T + layer.bias
+    layers = _layers(widths, block)
+    last = len(layers) - 1
+    for idx, (weights, bias) in enumerate(layers):
+        z = a @ weights.T + bias
         a = z if idx == last else np.tanh(z)
         cache.append(a)
     return a, cache
 
 
-def mlp_backward(mlp: Mlp, cache, g_out):
+def mlp_backward(widths, block: np.ndarray, cache, g_out,
+                 grad_block: np.ndarray):
     """Backprop dL/d(output) through the stack.
 
-    Returns (dL/d(input), [(dL/dW, dL/db) per layer]). tanh derivative is
-    recovered from the cached activation as 1 - a^2.
+    Adds dL/dW and dL/db into grad_block (laid out like block) and returns
+    dL/d(input). tanh derivative is recovered from the cached activation as
+    1 - a^2.
     """
-    grads: list = [None] * len(mlp.layers)
-    last = len(mlp.layers) - 1
+    layers = _layers(widths, block)
+    grads = _layers(widths, grad_block)
+    last = len(layers) - 1
     g = g_out
     for idx in range(last, -1, -1):
         a_prev, a = cache[idx], cache[idx + 1]
         g_z = g if idx == last else g * (1.0 - a * a)
-        grads[idx] = (g_z.T @ a_prev, g_z.sum(axis=0))
-        g = g_z @ mlp.layers[idx].weights
-    return g, grads
+        g_weights, g_bias = grads[idx]
+        g_weights += g_z.T @ a_prev
+        g_bias += g_z.sum(axis=0)
+        g = g_z @ layers[idx][0]
+    return g
 
 
 def _sigmoid(x):
@@ -161,8 +171,10 @@ def _sigmoid(x):
 
 def _curve_forward(model: SmnModel, k: int, y: np.ndarray):
     """Forward pass of curve k for batched IQ rows; keeps all caches."""
-    lam, enc_cache = mlp_forward(model.encoders[k], y)
-    u, dec_cache = mlp_forward(model.decoder, lam)
+    lam, enc_cache = mlp_forward(model.encoder_widths,
+                                 model.params[model.encoder_slice(k)], y)
+    u, dec_cache = mlp_forward(model.decoder_widths,
+                               model.params[model.decoder_slice], lam)
     rho = _sigmoid(u[:, 0:1])
     phi = u[:, 1:2]
     cos, sin = np.cos(phi), np.sin(phi)
@@ -193,7 +205,9 @@ def project_all(model: SmnModel, y: np.ndarray) -> np.ndarray:
 
 def encode(model: SmnModel, k: int, y: np.ndarray) -> np.ndarray:
     """Curve coordinates of IQ rows under symbol k's encoder, shape (m,)."""
-    lam, _ = mlp_forward(model.encoders[k], np.asarray(y, dtype=float))
+    lam, _ = mlp_forward(model.encoder_widths,
+                         model.params[model.encoder_slice(k)],
+                         np.asarray(y, dtype=float))
     return lam[:, 0]
 
 
@@ -204,7 +218,8 @@ def decode_curve(model: SmnModel, lam_grid: np.ndarray) -> np.ndarray:
     curve, so the K polylines are rigid copies of one another.
     """
     lam = np.asarray(lam_grid, dtype=float).reshape(-1, 1)
-    u, _ = mlp_forward(model.decoder, lam)
+    u, _ = mlp_forward(model.decoder_widths,
+                       model.params[model.decoder_slice], lam)
     rho = _sigmoid(u[:, 0:1])
     phi = u[:, 1:2]
     cart = np.hstack([rho * np.cos(phi), rho * np.sin(phi)])
@@ -230,34 +245,23 @@ def weighted_loss(model: SmnModel, y: np.ndarray, w: np.ndarray) -> float:
     return float(np.mean(np.sum(w * d2, axis=1)))
 
 
-def collect_params(model: SmnModel) -> list:
-    """Trainable arrays in a fixed order (encoders by symbol, then decoder)."""
-    params = []
-    for enc in model.encoders:
-        for layer in enc.layers:
-            params += [layer.weights, layer.bias]
-    for layer in model.decoder.layers:
-        params += [layer.weights, layer.bias]
-    return params
+def collect_params(model: SmnModel) -> np.ndarray:
+    """The flat trainable parameter vector (encoders by symbol, then decoder)."""
+    return model.params
 
 
 def with_params(model: SmnModel, params) -> SmnModel:
-    """New model with the parameter arrays swapped in (collect order)."""
-    it = iter(params)
-
-    def rebuild(mlp):
-        layers = []
-        for _ in mlp.layers:
-            layers.append(DenseLayer(weights=next(it), bias=next(it)))
-        return Mlp(layers=tuple(layers))
-
-    encoders = tuple(rebuild(e) for e in model.encoders)
-    decoder = rebuild(model.decoder)
-    return replace(model, encoders=encoders, decoder=decoder)
+    """New model with the flat parameter vector swapped in."""
+    params = np.asarray(params, dtype=float)
+    if params.shape != model.params.shape:
+        raise ValueError(f"params must have shape {model.params.shape}, "
+                         f"got {params.shape}")
+    return replace(model, params=params)
 
 
 def loss_and_gradients(model: SmnModel, y: np.ndarray, w: np.ndarray):
-    """Weighted reconstruction loss and its gradients, collect_params order.
+    """Weighted reconstruction loss and its gradient, a flat vector laid out
+    like collect_params.
 
     The shared decoder accumulates gradient contributions from every symbol
     curve; the fixed transforms get none. Raises NonFiniteError if anything
@@ -267,9 +271,8 @@ def loss_and_gradients(model: SmnModel, y: np.ndarray, w: np.ndarray):
     m = y.shape[0]
 
     loss = 0.0
-    enc_grads = []
-    dec_grads = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-                 for layer in model.decoder.layers]
+    grad = np.zeros_like(model.params)
+    dec = model.decoder_slice
     for k in range(model.order):
         proj, (enc_cache, dec_cache, rho, cos, sin) = _curve_forward(model, k, y)
         resid = proj - y
@@ -280,95 +283,36 @@ def loss_and_gradients(model: SmnModel, y: np.ndarray, w: np.ndarray):
         g_rho = g_cart[:, 0:1] * cos + g_cart[:, 1:2] * sin
         g_phi = rho * (-g_cart[:, 0:1] * sin + g_cart[:, 1:2] * cos)
         g_u = np.hstack([g_rho * rho * (1.0 - rho), g_phi])
-        g_lam, dgrads = mlp_backward(model.decoder, dec_cache, g_u)
-        dec_grads = [(aw + gw, ab + gb)
-                     for (aw, ab), (gw, gb) in zip(dec_grads, dgrads)]
-        _, egrads = mlp_backward(model.encoders[k], enc_cache, g_lam)
-        enc_grads.append(egrads)
+        g_lam = mlp_backward(model.decoder_widths, model.params[dec],
+                             dec_cache, g_u, grad[dec])
+        enc = model.encoder_slice(k)
+        mlp_backward(model.encoder_widths, model.params[enc], enc_cache,
+                     g_lam, grad[enc])
 
-    flat = []
-    for egrads in enc_grads:
-        for gw, gb in egrads:
-            flat += [gw, gb]
-    for gw, gb in dec_grads:
-        flat += [gw, gb]
-
-    if not np.isfinite(loss) or any(not np.all(np.isfinite(g)) for g in flat):
+    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
         raise NonFiniteError("loss or gradient overflowed to NaN/Inf")
-    return loss, flat
+    return loss, grad
 
 
 @dataclass(frozen=True)
 class AdamState:
     step: int
-    first_moment: tuple
-    second_moment: tuple
+    first_moment: np.ndarray
+    second_moment: np.ndarray
 
 
 def init_adam(params) -> AdamState:
-    return AdamState(step=0,
-                     first_moment=tuple(np.zeros_like(p) for p in params),
-                     second_moment=tuple(np.zeros_like(p) for p in params))
-
-
-def reset_optimizer(state: AdamState) -> AdamState:
-    """Zeroed moments and step count, same shapes; erases all history."""
-    return AdamState(
-        step=0,
-        first_moment=tuple(np.zeros_like(m) for m in state.first_moment),
-        second_moment=tuple(np.zeros_like(v) for v in state.second_moment))
+    zeros = np.zeros(np.shape(params))
+    return AdamState(step=0, first_moment=zeros, second_moment=zeros.copy())
 
 
 def adam_step(params, grads, state: AdamState, learning_rate: float = 1e-3,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One Adam update; returns (new_params, new_state)."""
+    """One Adam update of a parameter vector; returns (new_params, new_state)."""
     t = state.step + 1
-    new_p, new_m, new_v = [], [], []
-    for p, g, m1, v in zip(params, grads, state.first_moment,
-                           state.second_moment):
-        m1 = beta1 * m1 + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        mhat = m1 / (1.0 - beta1 ** t)
-        vhat = v / (1.0 - beta2 ** t)
-        new_p.append(p - learning_rate * mhat / (np.sqrt(vhat) + eps))
-        new_m.append(m1)
-        new_v.append(v)
-    return new_p, AdamState(step=t, first_moment=tuple(new_m),
-                            second_moment=tuple(new_v))
-
-
-def save_model(path, model: SmnModel) -> None:
-    """Checkpoint to npz; layer arrays keyed by role, symbol and depth."""
-    arrays = {
-        "transforms": model.transforms,
-        "noise_variance": np.asarray(model.noise_variance),
-        "order": np.asarray(model.order),
-        "encoder_depth": np.asarray(len(model.encoders[0].layers)),
-        "decoder_depth": np.asarray(len(model.decoder.layers)),
-    }
-    for k, enc in enumerate(model.encoders):
-        for idx, layer in enumerate(enc.layers):
-            arrays[f"enc{k}_w{idx}"] = layer.weights
-            arrays[f"enc{k}_b{idx}"] = layer.bias
-    for idx, layer in enumerate(model.decoder.layers):
-        arrays[f"dec_w{idx}"] = layer.weights
-        arrays[f"dec_b{idx}"] = layer.bias
-    np.savez(path, **arrays)
-
-
-def load_model(path) -> SmnModel:
-    data = np.load(path)
-    order = int(data["order"])
-    enc_depth = int(data["encoder_depth"])
-    dec_depth = int(data["decoder_depth"])
-    encoders = tuple(
-        Mlp(layers=tuple(DenseLayer(weights=data[f"enc{k}_w{i}"],
-                                    bias=data[f"enc{k}_b{i}"])
-                         for i in range(enc_depth)))
-        for k in range(order))
-    decoder = Mlp(layers=tuple(DenseLayer(weights=data[f"dec_w{i}"],
-                                          bias=data[f"dec_b{i}"])
-                               for i in range(dec_depth)))
-    return SmnModel(encoders=encoders, decoder=decoder,
-                    transforms=data["transforms"],
-                    noise_variance=float(data["noise_variance"]))
+    m1 = beta1 * state.first_moment + (1.0 - beta1) * grads
+    v = beta2 * state.second_moment + (1.0 - beta2) * grads * grads
+    mhat = m1 / (1.0 - beta1 ** t)
+    vhat = v / (1.0 - beta2 ** t)
+    new_params = params - learning_rate * mhat / (np.sqrt(vhat) + eps)
+    return new_params, AdamState(step=t, first_moment=m1, second_moment=v)

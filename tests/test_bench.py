@@ -1,8 +1,12 @@
 """Tests for the experiment driver: config format, sweeps, snapshots, CLI."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from plasmalink import bench
 from plasmalink.bench import (
     ExperimentConfig,
     SerStats,
@@ -86,6 +90,24 @@ class TestConfigFormat:
     def test_missing_file_message_names_path(self, tmp_path):
         with pytest.raises(ConfigError, match="nowhere.txt"):
             load_config(tmp_path / "nowhere.txt")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text(max_size=40),
+        st.builds("{} = {}".format,
+                  st.sampled_from([f.name for f in fields(ExperimentConfig)]
+                                  + ["n_e_min_per_cm3", "n_e_max_per_m3"]),
+                  st.one_of(st.text(max_size=20),
+                            st.floats().map(repr),
+                            st.integers(-10**6, 10**6).map(str),
+                            st.lists(st.floats().map(repr), max_size=3)
+                            .map(", ".join)))),
+        max_size=8).map("\n".join))
+    def test_arbitrary_text_raises_only_config_error(self, text):
+        try:
+            config_from_text(text)
+        except ConfigError:
+            pass
 
 
 class TestSnrPlumbing:
@@ -177,6 +199,15 @@ class TestSerSweep:
         assert by_name["genie_ml"]["status"] == "ok"
         assert "ConfigError" in by_name["pilot_interp_ml"]["status"]
         assert np.isnan(by_name["pilot_interp_ml"]["ser"])
+
+    def test_invariant_violation_aborts_sweep(self, tmp_path, monkeypatch):
+        def broken_fit(*args, **kwargs):
+            raise RuntimeError("lower bound decreased across E-step 1")
+
+        monkeypatch.setattr(bench, "fit", broken_fit)
+        with pytest.raises(RuntimeError, match="lower bound"):
+            run_ser_sweep(quick_config(out_dir=str(tmp_path),
+                                       receivers=("genie_ml", "smn")))
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -302,3 +333,31 @@ class TestCli:
         code = main(["ser-sweep", "--snr", "ten"])
         assert code == 2
         assert "comma-separated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config_text, flags", [
+        ("ser-sweep", "", ["--receivers", ""]),
+        ("ser-sweep", "pilot_intervals =\n", []),
+        ("ser-sweep", "snr_db = nan\n", []),
+        ("snapshots", "snr_db =\n", []),
+        ("fading", "", ["--snr", ""]),
+        ("ser-sweep", "snr_db = 14, 14\n", []),
+        ("ser-sweep", "", ["--intervals", "0"]),
+        ("fading", "frame_length = 128\n", ["--intervals", "256"]),
+    ], ids=["no-receivers", "no-intervals", "nan-snr", "snapshots-no-snr",
+            "fading-no-snr", "duplicate-snr", "zero-interval",
+            "interval-over-frame"])
+    def test_bad_config_exit_two(self, tmp_path, capsys, command,
+                                 config_text, flags):
+        # a short base run, so a check that lets the input through fails
+        # the test quickly instead of starting a full default sweep
+        base = ("frame_length = 512\npilot_intervals = 16\ntrials = 1\n"
+                "receivers = genie_ml\npretrain_steps = 20\n"
+                "em_iterations = 1\nmstep_steps = 5\n")
+        (tmp_path / "run.txt").write_text(base + config_text)
+        out = tmp_path / "out"
+        code = main([command, "--config", str(tmp_path / "run.txt"),
+                     "--outdir", str(out), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()

@@ -15,11 +15,9 @@ from plasmalink.net import (
     collect_params,
     init_adam,
     init_model,
-    load_model,
     loss_and_gradients,
     project,
     project_all,
-    save_model,
     symbol_transforms,
     weighted_loss,
     with_params,
@@ -34,12 +32,12 @@ def make_batch(model, m, seed):
     return y, w
 
 
-def finite_difference(model, y, w, param_idx, flat_idx, h=1e-6):
+def finite_difference(model, y, w, idx, h=1e-6):
     """Central-difference dL/dtheta for one scalar coordinate."""
-    params = [p.copy() for p in collect_params(model)]
-    params[param_idx].flat[flat_idx] += h
+    params = collect_params(model).copy()
+    params[idx] += h
     up = weighted_loss(with_params(model, params), y, w)
-    params[param_idx].flat[flat_idx] -= 2 * h
+    params[idx] -= 2 * h
     down = weighted_loss(with_params(model, params), y, w)
     return (up - down) / (2 * h)
 
@@ -104,11 +102,9 @@ class TestForward:
         # with identical encoders, undoing T_k must give the same canonical
         # point for every symbol
         model = init_model(build_constellation(2), rng_seed=5)
-        params = collect_params(model)
-        per_enc = 4  # two layers, weights+bias each
+        params = collect_params(model).copy()
         for k in range(1, 4):
-            for j in range(per_enc):
-                params[k * per_enc + j] = params[j].copy()
+            params[model.encoder_slice(k)] = params[model.encoder_slice(0)]
         model = with_params(model, params)
         y = np.array([[0.2, 0.9], [-1.1, 0.3]])
         canonical = [np.linalg.solve(model.transforms[k].astype(float),
@@ -208,12 +204,11 @@ class TestGradients:
                                    rtol=1e-12)
         rng = np.random.default_rng(18)
         for _ in range(60):
-            pi = rng.integers(0, len(grads))
-            fi = rng.integers(0, grads[pi].size)
-            num = finite_difference(model, y, w, pi, fi)
-            ana = grads[pi].flat[fi]
+            idx = rng.integers(0, grads.size)
+            num = finite_difference(model, y, w, idx)
+            ana = grads[idx]
             rel = abs(ana - num) / max(abs(ana), abs(num), 1e-8)
-            assert rel < 1e-4, (pi, fi, ana, num)
+            assert rel < 1e-4, (idx, ana, num)
 
     def test_gradient_shapes_mirror_params(self):
         model = init_model(build_constellation(2), rng_seed=19)
@@ -230,9 +225,8 @@ class TestGradients:
         y, w = make_batch(model, 6, seed=22)
         w[:, 2] = 0.0
         _, grads = loss_and_gradients(model, y, w)
-        per_enc = 4
-        for g in grads[2 * per_enc:3 * per_enc]:
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        unused = grads[model.encoder_slice(2)]
+        np.testing.assert_array_equal(unused, np.zeros_like(unused))
 
     def test_zero_weights_zero_gradient(self):
         model = init_model(build_constellation(2), rng_seed=34)
@@ -257,8 +251,8 @@ class TestGradients:
 
     def test_nonfinite_raises(self):
         model = init_model(build_constellation(1), rng_seed=23)
-        params = [p.copy() for p in collect_params(model)]
-        params[0][0, 0] = np.nan
+        params = collect_params(model).copy()
+        params[0] = np.nan
         model = with_params(model, params)
         y, w = make_batch(model, 4, seed=24)
         with pytest.raises(NonFiniteError):
@@ -267,8 +261,8 @@ class TestGradients:
 
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
-        params = [np.array([1.0])]
-        grads = [np.array([2.0])]
+        params = np.array([1.0])
+        grads = np.array([2.0])
         new, state = adam_step(params, grads, init_adam(params),
                                learning_rate=1e-3)
         # mhat = g, vhat = g^2, so the step is lr * g / (|g| + eps)
@@ -277,18 +271,18 @@ class TestAdam:
         assert state.step == 1
 
     def test_zero_gradient_keeps_params(self):
-        params = [np.array([[0.5, -0.25]])]
-        grads = [np.zeros((1, 2))]
+        params = np.array([0.5, -0.25])
+        grads = np.zeros(2)
         new, _ = adam_step(params, grads, init_adam(params))
-        np.testing.assert_array_equal(new[0], params[0])
+        np.testing.assert_array_equal(new, params)
 
     def test_inputs_not_mutated(self):
-        params = [np.ones(3)]
-        grads = [np.full(3, 0.7)]
+        params = np.ones(3)
+        grads = np.full(3, 0.7)
         state = init_adam(params)
         adam_step(params, grads, state)
-        np.testing.assert_array_equal(params[0], np.ones(3))
-        np.testing.assert_array_equal(state.first_moment[0], np.zeros(3))
+        np.testing.assert_array_equal(params, np.ones(3))
+        np.testing.assert_array_equal(state.first_moment, np.zeros(3))
 
     def test_fresh_state_reproduces_trajectory(self):
         model = init_model(build_constellation(1), rng_seed=25)
@@ -308,20 +302,6 @@ class TestAdam:
         for x, z in zip(collect_params(a), collect_params(b)):
             np.testing.assert_array_equal(x, z)
 
-    def test_reset_matches_fresh_state(self):
-        from plasmalink.net import reset_optimizer
-        params = [np.ones((2, 2)), np.zeros(3)]
-        grads = [np.full((2, 2), 0.5), np.ones(3)]
-        state = init_adam(params)
-        _, state = adam_step(params, grads, state)
-        reset = reset_optimizer(state)
-        fresh = init_adam(params)
-        assert reset.step == 0
-        for a, b in zip(reset.first_moment, fresh.first_moment):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(reset.second_moment, fresh.second_moment):
-            np.testing.assert_array_equal(a, b)
-
     def test_descends_on_fixed_batch(self):
         model = init_model(build_constellation(2), rng_seed=27)
         y, w = make_batch(model, 64, seed=28)
@@ -333,20 +313,3 @@ class TestAdam:
             p, st = adam_step(collect_params(m), g, st)
             m = with_params(m, p)
         assert weighted_loss(m, y, w) < before
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        model = init_model(build_constellation(2), rng_seed=29,
-                           noise_variance=0.37)
-        path = tmp_path / "model.npz"
-        save_model(path, model)
-        back = load_model(path)
-        assert back.order == 4
-        assert back.noise_variance == 0.37
-        np.testing.assert_array_equal(back.transforms, model.transforms)
-        for a, b in zip(collect_params(model), collect_params(back)):
-            np.testing.assert_array_equal(a, b)
-        y = np.random.default_rng(30).normal(size=(5, 2))
-        np.testing.assert_array_equal(project_all(model, y),
-                                      project_all(back, y))
