@@ -80,11 +80,22 @@ class DnnTrainConfig:
     learning_rate: float = 1e-3
     init_std: float = 0.1
 
+    def __post_init__(self):
+        if self.steps < 0:
+            raise ConfigError("dnn steps must be >= 0")
+        if self.hidden_units < 1:
+            raise ConfigError("dnn hidden units must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("dnn learning_rate must be finite and > 0")
+        if not 0 < self.init_std < math.inf:
+            raise ConfigError("init_std must be finite and > 0")
+
 
 def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
+    """Softmax over the class axis of feature-major logits (K, n)."""
+    z = z - z.max(axis=0)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=0)
 
 
 def supervised_dnn(received: ReceivedSequence, frame: Frame,
@@ -100,11 +111,12 @@ def supervised_dnn(received: ReceivedSequence, frame: Frame,
     widths = (2, config.hidden_units, config.hidden_units, k)
     params = config.init_std * rng.standard_normal(param_count(widths))
 
-    x_train = received.iq()[frame.pilot_positions]
+    # feature-major: one column per sample
+    x_train = np.ascontiguousarray(received.iq()[frame.pilot_positions].T)
     labels = frame.symbols[frame.pilot_positions]
     n = len(labels)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
+    onehot = np.zeros((k, n))
+    onehot[labels, np.arange(n)] = 1.0
 
     state = init_adam(params)
     for _ in range(config.steps):
@@ -116,9 +128,10 @@ def supervised_dnn(received: ReceivedSequence, frame: Frame,
         params, state = adam_step(params, grads, state,
                                   learning_rate=config.learning_rate)
 
-    logits, _ = mlp_forward(widths, params, received.iq())
+    logits, _ = mlp_forward(widths, params,
+                            np.ascontiguousarray(received.iq().T))
     return BaselineResult(name="supervised_dnn",
-                          decisions=np.argmax(logits, axis=1))
+                          decisions=np.argmax(logits, axis=0))
 
 
 def qpsk_theory_ser(es_n0_db: float) -> float:

@@ -135,11 +135,23 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} has duplicate values: {values}")
         if not np.all(np.isfinite(self.snr_db)):
             raise ConfigError(f"snr_db values must be finite: {self.snr_db}")
+        if max(abs(s) for s in self.snr_db) >= _SNR_LIMIT_DB:
+            raise ConfigError(f"snr_db values must lie within "
+                              f"+-{_SNR_LIMIT_DB:g} dB: {self.snr_db}")
+        keys = [_snr_key(s) for s in self.snr_db]
+        if len(set(keys)) != len(keys):
+            raise ConfigError(f"snr_db values closer than 0.5 mdB share a "
+                              f"cell seed: {self.snr_db}")
         bad = [i for i in self.pilot_intervals
                if not 1 <= i <= self.frame_length]
         if bad:
             raise ConfigError(f"pilot intervals {bad} outside "
                               f"1..frame_length ({self.frame_length})")
+        if self.hidden_units < 1:
+            raise ConfigError("hidden_units must be >= 1")
+        # built only so that their own field checks run now
+        self.schedule()
+        self.dnn_config()
 
     def schedule(self) -> EmSchedule:
         return EmSchedule(pretrain_steps=self.pretrain_steps,
@@ -296,12 +308,20 @@ def _es_n0_db(config: ExperimentConfig, snr_db: float) -> float:
     return snr_db
 
 
+# cell seeds key an SNR by its millidecibels in 32 bits, so the key is
+# one-to-one only below this magnitude
+_SNR_LIMIT_DB = 2 ** 31 / 1000
+
+
+def _snr_key(snr_db: float) -> int:
+    return int(round(snr_db * 1000)) & 0xFFFFFFFF
+
+
 def cell_seed(base_seed: int, snr_db: float, interval: int,
               trial: int) -> int:
     """Per-cell seed keyed by values, not grid positions."""
-    snr_key = int(round(snr_db * 1000)) & 0xFFFFFFFF
     seq = np.random.SeedSequence(
-        [base_seed, ROLES["cell"], snr_key, interval, trial])
+        [base_seed, ROLES["cell"], _snr_key(snr_db), interval, trial])
     return int(seq.generate_state(1, np.uint32)[0])
 
 
@@ -466,8 +486,8 @@ def _pilot_lam_span(model, rx, frame):
     """Curve-coordinate range of the labeled pilot samples."""
     y = rx.iq()[frame.pilot_positions]
     labels = frame.symbols[frame.pilot_positions]
-    lam = np.array([encode(model, k, y[i:i + 1])[0]
-                    for i, k in enumerate(labels)])
+    lam = np.concatenate([encode(model, k, y[labels == k])
+                          for k in np.unique(labels)])
     return float(lam.min()), float(lam.max())
 
 

@@ -23,6 +23,7 @@ likelihood is wrong and raises immediately.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,8 +80,8 @@ class EmSchedule:
     def __post_init__(self):
         if min(self.pretrain_steps, self.em_iterations, self.mstep_steps) < 0:
             raise ConfigError("schedule step counts must be >= 0")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -160,22 +161,24 @@ def pretrain(model: SmnModel, received: ReceivedSequence, frame: Frame,
                   schedule.learning_rate, step_hook)
 
 
-def e_step(model: SmnModel, received: ReceivedSequence,
-           frame: Frame | None = None) -> np.ndarray:
-    """Posterior symbol probabilities W, shape (m, K).
+def _distances(model: SmnModel, y: np.ndarray) -> np.ndarray:
+    """Squared projection distances d_ik^2 = ||y_i - proj_k(y_i)||^2, (m, K).
 
-    W_ik = softmax over k of -||y_i - proj_k(y_i)||^2 / sigma_n^2, computed
-    with max subtraction. When a frame is given, pilot rows are overridden
-    with exact one-hot labels.
+    They depend on the curves only, so one matrix serves every posterior,
+    bound and loss of a model state.
     """
+    proj = project_all(model, y)
+    return np.sum((y[:, None, :] - proj) ** 2, axis=2)
+
+
+def _posterior(model: SmnModel, d2: np.ndarray,
+               frame: Frame | None) -> np.ndarray:
+    """E-step posterior from the distance matrix (see e_step)."""
     var = model.noise_variance
     if var < NOISE_VARIANCE_FLOOR:
         logger.warning("noise variance %.3g below floor, clamped to %.1g",
                        var, NOISE_VARIANCE_FLOOR)
         var = NOISE_VARIANCE_FLOOR
-    y = received.iq()
-    proj = project_all(model, y)
-    d2 = np.sum((y[:, None, :] - proj) ** 2, axis=2)
     logits = -d2 / var
     logits -= logits.max(axis=1, keepdims=True)
     w = np.exp(logits)
@@ -187,6 +190,44 @@ def e_step(model: SmnModel, received: ReceivedSequence,
     return w
 
 
+def _bound(model: SmnModel, d2: np.ndarray, w: np.ndarray) -> float:
+    """Evidence lower bound from the distance matrix (see elbo)."""
+    var = model.noise_variance
+    log_lik = -np.log(np.pi * var) - d2 / var
+    prior = np.log(1.0 / model.order)
+    entropy = np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0)
+    return float(np.sum(w * (log_lik + prior)) - np.sum(entropy))
+
+
+def _weighted_mean(d2: np.ndarray, w: np.ndarray) -> float:
+    """(1/m) sum_i sum_k w_ik d_ik^2, the M-step objective."""
+    return float(np.mean(np.sum(w * d2, axis=1)))
+
+
+def e_step(model: SmnModel, received: ReceivedSequence,
+           frame: Frame | None = None) -> np.ndarray:
+    """Posterior symbol probabilities W, shape (m, K).
+
+    W_ik = softmax over k of -||y_i - proj_k(y_i)||^2 / sigma_n^2, computed
+    with max subtraction. When a frame is given, pilot rows are overridden
+    with exact one-hot labels.
+    """
+    return _posterior(model, _distances(model, received.iq()), frame)
+
+
+def _m_step(model: SmnModel, y: np.ndarray, w: np.ndarray,
+            schedule: EmSchedule):
+    """m_step on IQ rows; also returns the new model's distance matrix."""
+    model = _train(model, y, w, schedule.mstep_steps, schedule.learning_rate)
+    d2 = _distances(model, y)
+    resid = _weighted_mean(d2, w)
+    if resid < NOISE_VARIANCE_FLOOR:
+        logger.warning("noise variance estimate %.3g clamped to %.1g",
+                       resid, NOISE_VARIANCE_FLOOR)
+    model = replace(model, noise_variance=max(resid, NOISE_VARIANCE_FLOOR))
+    return model, resid, d2
+
+
 def m_step(model: SmnModel, received: ReceivedSequence, w: np.ndarray,
            schedule: EmSchedule):
     """Re-fit curve parameters and the noise variance under fixed W.
@@ -196,13 +237,7 @@ def m_step(model: SmnModel, received: ReceivedSequence, w: np.ndarray,
     exact maximizer of the lower bound for a Gaussian of total variance
     sigma_n^2 (clamped at the floor). Returns (model, loss_after).
     """
-    y = received.iq()
-    model = _train(model, y, w, schedule.mstep_steps, schedule.learning_rate)
-    resid = weighted_loss(model, y, w)
-    if resid < NOISE_VARIANCE_FLOOR:
-        logger.warning("noise variance estimate %.3g clamped to %.1g",
-                       resid, NOISE_VARIANCE_FLOOR)
-    model = replace(model, noise_variance=max(resid, NOISE_VARIANCE_FLOOR))
+    model, resid, _ = _m_step(model, received.iq(), w, schedule)
     return model, resid
 
 
@@ -213,14 +248,7 @@ def elbo(model: SmnModel, received: ReceivedSequence, w: np.ndarray) -> float:
     noise-variance updates move the bound honestly; entropy terms treat
     0 * ln 0 as 0.
     """
-    y = received.iq()
-    proj = project_all(model, y)
-    d2 = np.sum((y[:, None, :] - proj) ** 2, axis=2)
-    var = model.noise_variance
-    log_lik = -np.log(np.pi * var) - d2 / var
-    prior = np.log(1.0 / model.order)
-    entropy = np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0)
-    return float(np.sum(w * (log_lik + prior)) - np.sum(entropy))
+    return _bound(model, _distances(model, received.iq()), w)
 
 
 def fit(received: ReceivedSequence, frame: Frame,
@@ -231,10 +259,12 @@ def fit(received: ReceivedSequence, frame: Frame,
     """Full training run: pilot pretraining, then EM over the whole frame.
 
     The initial noise variance is the pilot residual after pretraining (the
-    only data-driven estimate available before the first E-step). Raises
-    RuntimeError if the lower bound ever drops across an E-step beyond a
-    1e-9 tolerance; that invariant holds analytically, so a violation is a
-    bug, not a tuning issue.
+    only data-driven estimate available before the first E-step). The frame
+    is projected once per curve state: every posterior, bound and loss of
+    that state shares one distance matrix. Raises RuntimeError if the lower
+    bound ever drops across an E-step beyond a 1e-9 tolerance; that
+    invariant holds analytically, so a violation is a bug, not a tuning
+    issue.
     """
     if model is None:
         model = init_model(constellation, rng_seed, hidden_units, init_std)
@@ -245,23 +275,25 @@ def fit(received: ReceivedSequence, frame: Frame,
     model = replace(model, noise_variance=max(pilot_resid,
                                               NOISE_VARIANCE_FLOOR))
 
-    w = e_step(model, received, frame)
-    start = elbo(model, received, w)
+    y = received.iq()
+    d2 = _distances(model, y)
+    w = _posterior(model, d2, frame)
+    start = _bound(model, d2, w)
     records = [TraceRecord(phase="pretrain", iteration=0,
                            elbo_before_e=start, elbo_after_e=start,
                            loss_before_m=pilot_resid, loss_after_m=pilot_resid,
                            noise_variance=model.noise_variance)]
 
     for it in range(1, schedule.em_iterations + 1):
-        before = elbo(model, received, w)
-        w = e_step(model, received, frame)
-        after = elbo(model, received, w)
+        before = _bound(model, d2, w)
+        w = _posterior(model, d2, frame)
+        after = _bound(model, d2, w)
         if after < before - 1e-9:
             raise RuntimeError(
                 f"lower bound decreased across E-step {it}: "
                 f"{before:.12g} -> {after:.12g}")
-        loss_before = weighted_loss(model, received.iq(), w)
-        model, loss_after = m_step(model, received, w, schedule)
+        loss_before = _weighted_mean(d2, w)
+        model, loss_after, d2 = _m_step(model, y, w, schedule)
         records.append(TraceRecord(
             phase="em", iteration=it, elbo_before_e=before,
             elbo_after_e=after, loss_before_m=loss_before,

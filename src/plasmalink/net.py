@@ -21,6 +21,11 @@ parameters live in one flat float64 vector: encoder 0, ..., encoder K-1,
 then the decoder; within each MLP, layer by layer, the (fan_out, fan_in)
 weight matrix in row-major order followed by the bias. Model and optimizer
 updates are functional (new objects out, inputs untouched).
+
+Batches run feature-major: an MLP maps (fan_in, rows) to (fan_out, rows),
+and the public functions transpose their (rows, 2) IQ input once. The
+shared decoder runs once per group of curves whose coordinates are
+stacked side by side (see GROUP_ELEMENTS).
 """
 
 from __future__ import annotations
@@ -110,6 +115,18 @@ def init_model(constellation: Constellation, rng_seed: int,
                     noise_variance=float(noise_variance))
 
 
+# A group of curves shares one decoder pass over its stacked coordinates.
+# Groups are sized so that one stacked row holds about this many elements:
+# larger temporaries cost more in page faults than the saved passes gain.
+GROUP_ELEMENTS = 4096
+
+
+def _groups(order: int, rows: int):
+    """(start, stop) ranges of the curves that share one decoder pass."""
+    size = max(1, GROUP_ELEMENTS // max(rows, 1))
+    return [(k, min(k + size, order)) for k in range(0, order, size)]
+
+
 def _layers(widths, block):
     """(weights, bias) views of every layer of a flat parameter block."""
     layers, pos = [], 0
@@ -122,65 +139,92 @@ def _layers(widths, block):
 
 
 def mlp_forward(widths, block: np.ndarray, x: np.ndarray):
-    """Fully connected stack; tanh after every layer except the last.
+    """Fully connected stack on feature-major input x, shape (fan_in, n);
+    tanh after every layer except the last.
 
-    Returns (output, cache); cache holds per-layer activations.
+    Returns (output, cache); output is (fan_out, n) and cache holds the
+    per-layer activations.
     """
     a = x
     cache = [a]
     layers = _layers(widths, block)
     last = len(layers) - 1
     for idx, (weights, bias) in enumerate(layers):
-        z = a @ weights.T + bias
-        a = z if idx == last else np.tanh(z)
+        # a fan-in-1 layer is an outer product: broadcast, not matmul
+        z = weights * a if weights.shape[1] == 1 else weights @ a
+        z += bias[:, None]
+        if idx != last:
+            np.tanh(z, out=z)
+        a = z
         cache.append(a)
     return a, cache
 
 
 def mlp_backward(widths, block: np.ndarray, cache, g_out,
                  grad_block: np.ndarray):
-    """Backprop dL/d(output) through the stack.
+    """Backprop dL/d(output), shape (fan_out, n), through the stack.
 
     Adds dL/dW and dL/db into grad_block (laid out like block) and returns
-    dL/d(input). tanh derivative is recovered from the cached activation as
-    1 - a^2.
+    dL/d(input), shape (fan_in, n). The tanh derivative is recovered from
+    the cached activation as 1 - a^2.
     """
     layers = _layers(widths, block)
     grads = _layers(widths, grad_block)
     last = len(layers) - 1
     g = g_out
     for idx in range(last, -1, -1):
-        a_prev, a = cache[idx], cache[idx + 1]
-        g_z = g if idx == last else g * (1.0 - a * a)
+        if idx != last:
+            a = cache[idx + 1]
+            g *= 1.0 - a * a  # g is this call's own temporary here
         g_weights, g_bias = grads[idx]
-        g_weights += g_z.T @ a_prev
-        g_bias += g_z.sum(axis=0)
-        g = g_z @ layers[idx][0]
+        g_weights += g @ cache[idx].T
+        g_bias += g.sum(axis=1)
+        weights = layers[idx][0]
+        g = weights.T * g if weights.shape[0] == 1 else weights.T @ g
     return g
 
 
 def _sigmoid(x):
-    # split by sign so the exp never overflows
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so the exp never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _curve_forward(model: SmnModel, k: int, y: np.ndarray):
-    """Forward pass of curve k for batched IQ rows; keeps all caches."""
-    lam, enc_cache = mlp_forward(model.encoder_widths,
-                                 model.params[model.encoder_slice(k)], y)
-    u, dec_cache = mlp_forward(model.decoder_widths,
-                               model.params[model.decoder_slice], lam)
-    rho = _sigmoid(u[:, 0:1])
-    phi = u[:, 1:2]
-    cos, sin = np.cos(phi), np.sin(phi)
-    cart = np.hstack([rho * cos, rho * sin])
-    proj = cart @ model.transforms[k].T
-    return proj, (enc_cache, dec_cache, rho, cos, sin)
+def _feature_major(y) -> np.ndarray:
+    """IQ rows (m, 2) as a contiguous (2, m) array."""
+    return np.ascontiguousarray(np.asarray(y, dtype=float).T)
+
+
+def _decode(model: SmnModel, lam: np.ndarray):
+    """Shared decoder on coordinates lam (1, n): the canonical curve point
+    in polar form (radius rho, cos and sin of the angle, each (n,)) plus
+    the decoder cache."""
+    u, cache = mlp_forward(model.decoder_widths,
+                           model.params[model.decoder_slice], lam)
+    return _sigmoid(u[0]), np.cos(u[1]), np.sin(u[1]), cache
+
+
+def _group_forward(model: SmnModel, start: int, stop: int, yt: np.ndarray):
+    """Projections of feature-major rows yt (2, m) onto curves start..stop-1.
+
+    The curves' encoder outputs are stacked side by side so the shared
+    decoder runs once for the whole group. Returns proj, shape
+    (stop - start, 2, m), and every cache backprop needs.
+    """
+    m = yt.shape[1]
+    outs, enc_caches = [], []
+    for k in range(start, stop):
+        lam, cache = mlp_forward(model.encoder_widths,
+                                 model.params[model.encoder_slice(k)], yt)
+        outs.append(lam)
+        enc_caches.append(cache)
+    lam = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
+    rho, cos, sin, dec_cache = _decode(model, lam)
+    shape = (stop - start, m)
+    rho, cos, sin = rho.reshape(shape), cos.reshape(shape), sin.reshape(shape)
+    cart = np.stack([rho * cos, rho * sin], axis=1)
+    proj = model.transforms[start:stop] @ cart
+    return proj, (enc_caches, dec_cache, rho, cos, sin)
 
 
 def project(model: SmnModel, k: int, y: np.ndarray) -> np.ndarray:
@@ -190,16 +234,18 @@ def project(model: SmnModel, k: int, y: np.ndarray) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
-    proj, _ = _curve_forward(model, k, y[None, :] if single else y)
-    return proj[0] if single else proj
+    proj, _ = _group_forward(model, k, k + 1,
+                             _feature_major(y[None, :] if single else y))
+    return proj[0, :, 0] if single else proj[0].T
 
 
 def project_all(model: SmnModel, y: np.ndarray) -> np.ndarray:
     """Projections onto every curve, shape (m, K, 2)."""
-    y = np.asarray(y, dtype=float)
-    out = np.empty((y.shape[0], model.order, 2))
-    for k in range(model.order):
-        out[:, k, :] = project(model, k, y)
+    yt = _feature_major(y)
+    out = np.empty((yt.shape[1], model.order, 2))
+    for start, stop in _groups(model.order, yt.shape[1]):
+        proj, _ = _group_forward(model, start, stop, yt)
+        out[:, start:stop, :] = proj.transpose(2, 0, 1)
     return out
 
 
@@ -207,8 +253,8 @@ def encode(model: SmnModel, k: int, y: np.ndarray) -> np.ndarray:
     """Curve coordinates of IQ rows under symbol k's encoder, shape (m,)."""
     lam, _ = mlp_forward(model.encoder_widths,
                          model.params[model.encoder_slice(k)],
-                         np.asarray(y, dtype=float))
-    return lam[:, 0]
+                         _feature_major(y))
+    return lam[0]
 
 
 def decode_curve(model: SmnModel, lam_grid: np.ndarray) -> np.ndarray:
@@ -217,13 +263,10 @@ def decode_curve(model: SmnModel, lam_grid: np.ndarray) -> np.ndarray:
     Returns (K, len(lam_grid), 2); row k is T_k applied to the canonical
     curve, so the K polylines are rigid copies of one another.
     """
-    lam = np.asarray(lam_grid, dtype=float).reshape(-1, 1)
-    u, _ = mlp_forward(model.decoder_widths,
-                       model.params[model.decoder_slice], lam)
-    rho = _sigmoid(u[:, 0:1])
-    phi = u[:, 1:2]
-    cart = np.hstack([rho * np.cos(phi), rho * np.sin(phi)])
-    return np.stack([cart @ t.T for t in model.transforms])
+    lam = np.asarray(lam_grid, dtype=float).reshape(1, -1)
+    rho, cos, sin, _ = _decode(model, lam)
+    cart = np.stack([rho * cos, rho * sin])
+    return (model.transforms @ cart).transpose(0, 2, 1)
 
 
 def _check_batch(model, y, w):
@@ -269,25 +312,30 @@ def loss_and_gradients(model: SmnModel, y: np.ndarray, w: np.ndarray):
     """
     y, w = _check_batch(model, y, w)
     m = y.shape[0]
+    yt, wt = _feature_major(y), np.ascontiguousarray(w.T)
 
     loss = 0.0
     grad = np.zeros_like(model.params)
     dec = model.decoder_slice
-    for k in range(model.order):
-        proj, (enc_cache, dec_cache, rho, cos, sin) = _curve_forward(model, k, y)
-        resid = proj - y
-        loss += float(np.dot(w[:, k], np.sum(resid ** 2, axis=1))) / m
+    for start, stop in _groups(model.order, m):
+        proj, (enc_caches, dec_cache, rho, cos, sin) = _group_forward(
+            model, start, stop, yt)
+        resid = proj - yt
+        w_group = wt[start:stop]
+        loss += float(np.vdot(w_group, np.sum(resid ** 2, axis=1))) / m
 
-        g_proj = (2.0 / m) * w[:, k:k + 1] * resid
-        g_cart = g_proj @ model.transforms[k]
-        g_rho = g_cart[:, 0:1] * cos + g_cart[:, 1:2] * sin
-        g_phi = rho * (-g_cart[:, 0:1] * sin + g_cart[:, 1:2] * cos)
-        g_u = np.hstack([g_rho * rho * (1.0 - rho), g_phi])
+        g_proj = (2.0 / m) * w_group[:, None, :] * resid
+        g_cart = model.transforms[start:stop].transpose(0, 2, 1) @ g_proj
+        g_u = np.empty((2, stop - start, m))
+        g_u[0] = (g_cart[:, 0] * cos + g_cart[:, 1] * sin) * rho * (1.0 - rho)
+        g_u[1] = rho * (-g_cart[:, 0] * sin + g_cart[:, 1] * cos)
         g_lam = mlp_backward(model.decoder_widths, model.params[dec],
-                             dec_cache, g_u, grad[dec])
-        enc = model.encoder_slice(k)
-        mlp_backward(model.encoder_widths, model.params[enc], enc_cache,
-                     g_lam, grad[enc])
+                             dec_cache, g_u.reshape(2, -1), grad[dec])
+        for j, k in enumerate(range(start, stop)):
+            enc = model.encoder_slice(k)
+            mlp_backward(model.encoder_widths, model.params[enc],
+                         enc_caches[j], g_lam[:, j * m:(j + 1) * m],
+                         grad[enc])
 
     if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
         raise NonFiniteError("loss or gradient overflowed to NaN/Inf")

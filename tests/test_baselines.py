@@ -147,6 +147,15 @@ class TestSupervisedDnn:
         assert result.decisions.shape == (64,)
         assert result.decisions.dtype.kind == "i"
 
+    @pytest.mark.parametrize("field, value", [
+        ("steps", -1), ("hidden_units", 0), ("learning_rate", 0.0),
+        ("learning_rate", float("nan")), ("init_std", -1.0),
+        ("init_std", float("inf")),
+    ])
+    def test_config_rejects_bad_values(self, field, value):
+        with pytest.raises(ConfigError):
+            DnnTrainConfig(**{field: value})
+
 
 class TestQpskTheory:
     def test_frozen_values(self):

@@ -343,9 +343,18 @@ class TestCli:
         ("ser-sweep", "snr_db = 14, 14\n", []),
         ("ser-sweep", "", ["--intervals", "0"]),
         ("fading", "frame_length = 128\n", ["--intervals", "256"]),
+        ("ser-sweep", "snr_db = 1e306\n", []),
+        ("ser-sweep", "snr_db = 14, 14.0004\n", []),
+        ("ser-sweep", "pretrain_steps = -1\n", []),
+        ("ser-sweep", "learning_rate = 0\n", []),
+        ("ser-sweep", "hidden_units = 0\n", []),
+        ("ser-sweep", "dnn_steps = -3\n", []),
+        ("ser-sweep", "init_std = -1\n", []),
     ], ids=["no-receivers", "no-intervals", "nan-snr", "snapshots-no-snr",
             "fading-no-snr", "duplicate-snr", "zero-interval",
-            "interval-over-frame"])
+            "interval-over-frame", "huge-snr", "colliding-snr",
+            "negative-pretrain-steps", "zero-learning-rate",
+            "zero-hidden-units", "negative-dnn-steps", "negative-init-std"])
     def test_bad_config_exit_two(self, tmp_path, capsys, command,
                                  config_text, flags):
         # a short base run, so a check that lets the input through fails

@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+import plasmalink.em as em_module
 from plasmalink.em import (
     NOISE_VARIANCE_FLOOR,
     EmSchedule,
@@ -258,6 +259,25 @@ class TestFit:
             assert rec.elbo_after_e >= rec.elbo_before_e - 1e-9
             assert rec.loss_after_m <= rec.loss_before_m
             assert rec.noise_variance > 0.0
+
+    @pytest.mark.parametrize("iterations", [0, 1, 3])
+    def test_projects_frame_once_per_model_state(self, monkeypatch,
+                                                 iterations):
+        # one distance matrix after pretraining and one per M-step; the
+        # bounds, the E-step and the M-step loss all reuse it
+        const, frame, rx = static_run(0.75, snr_db=10.0, seed=54)
+        original = em_module.project_all
+        rows = []
+
+        def counting(model, y):
+            rows.append(len(y))
+            return original(model, y)
+
+        monkeypatch.setattr(em_module, "project_all", counting)
+        fit(rx, frame, const, EmSchedule(pretrain_steps=20,
+                                         em_iterations=iterations,
+                                         mstep_steps=5), rng_seed=54)
+        assert rows == [len(rx)] * (1 + iterations)
 
     def test_noiseless_static_payload_posteriors_near_one_hot(self):
         const, frame, rx = static_run(0.8, seed=53)
