@@ -119,19 +119,20 @@ def supervised_dnn(received: ReceivedSequence, frame: Frame,
     onehot[labels, np.arange(n)] = 1.0
 
     state = init_adam(params)
+    grads = np.empty_like(params)
     for _ in range(config.steps):
-        logits, cache = mlp_forward(widths, params, x_train)
+        logits, cache = mlp_forward(widths, params[None], x_train)
         # mean cross-entropy gradient
-        g_logits = (_softmax(logits) - onehot) / n
-        grads = np.zeros_like(params)
-        mlp_backward(widths, params, cache, g_logits, grads)
+        g_logits = (_softmax(logits[0]) - onehot) / n
+        mlp_backward(widths, params[None], cache, g_logits[None],
+                     grads[None], input_grad=False)
         params, state = adam_step(params, grads, state,
                                   learning_rate=config.learning_rate)
 
-    logits, _ = mlp_forward(widths, params,
+    logits, _ = mlp_forward(widths, params[None],
                             np.ascontiguousarray(received.iq().T))
     return BaselineResult(name="supervised_dnn",
-                          decisions=np.argmax(logits, axis=0))
+                          decisions=np.argmax(logits[0], axis=0))
 
 
 def qpsk_theory_ser(es_n0_db: float) -> float:

@@ -149,6 +149,12 @@ class ExperimentConfig:
                               f"1..frame_length ({self.frame_length})")
         if self.hidden_units < 1:
             raise ConfigError("hidden_units must be >= 1")
+        if self.bits_per_symbol not in (1, 2, 3, 4):
+            raise ConfigError(f"bits_per_symbol must be 1..4, "
+                              f"got {self.bits_per_symbol}")
+        if not 0 < self.gain_floor < 1:
+            raise ConfigError(f"gain_floor must lie in (0, 1), "
+                              f"got {self.gain_floor}")
         # built only so that their own field checks run now
         self.schedule()
         self.dnn_config()

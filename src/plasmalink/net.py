@@ -14,7 +14,12 @@ matrix T_k lifts it onto symbol k's curve. For x_k = re + j*im,
            [im,  re]]
 
 which is multiplication by x_k in IQ coordinates. The transforms encode the
-constellation symmetry exactly and are never trained.
+constellation symmetry exactly and are never trained. Because T_k is a
+complex multiplication, the backward pass needs neither T_k^T nor the angle:
+with proj = x_k rho e^{i theta} and g = dL/d(proj),
+
+    dL/d(radius logit) = (1 - rho) <proj, g>
+    dL/d(theta)        = proj x g          (the 2-D cross product)
 
 Everything here is plain numpy with hand-written backprop. All trainable
 parameters live in one flat float64 vector: encoder 0, ..., encoder K-1,
@@ -22,14 +27,25 @@ then the decoder; within each MLP, layer by layer, the (fan_out, fan_in)
 weight matrix in row-major order followed by the bias. Model and optimizer
 updates are functional (new objects out, inputs untouched).
 
-Batches run feature-major: an MLP maps (fan_in, rows) to (fan_out, rows),
-and the public functions transpose their (rows, 2) IQ input once. The
-shared decoder runs once per group of curves whose coordinates are
-stacked side by side (see GROUP_ELEMENTS).
+The MLP kernel runs S networks of one shape at once: their flat blocks are
+the rows of an (S, P) array, every layer's weights an (S, fan_out, fan_in)
+view, and batches are feature-major, (S, features, rows). The K encoder
+blocks are contiguous, so all K encoders run as one stack, and their K
+coordinate rows, side by side, take one pass of the shared decoder.
+
+The SMN passes write every temporary into preallocated buffers, one set
+per (K, widths, rows) shape, kept in a small per-thread cache, so a
+training step reuses the same memory instead of paging in fresh arrays.
+Every buffer is written before it is read, so earlier calls never change
+a result, and what a public function returns is always a fresh array.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+from collections import OrderedDict
+from itertools import zip_longest
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -115,44 +131,44 @@ def init_model(constellation: Constellation, rng_seed: int,
                     noise_variance=float(noise_variance))
 
 
-# A group of curves shares one decoder pass over its stacked coordinates.
-# Groups are sized so that one stacked row holds about this many elements:
-# larger temporaries cost more in page faults than the saved passes gain.
-GROUP_ELEMENTS = 4096
-
-
-def _groups(order: int, rows: int):
-    """(start, stop) ranges of the curves that share one decoder pass."""
-    size = max(1, GROUP_ELEMENTS // max(rows, 1))
-    return [(k, min(k + size, order)) for k in range(0, order, size)]
-
-
-def _layers(widths, block):
-    """(weights, bias) views of every layer of a flat parameter block."""
+def _layers(widths, blocks):
+    """(weights, bias) views of every layer of stacked flat blocks (S, P):
+    weights (S, fan_out, fan_in), bias (S, fan_out, 1)."""
     layers, pos = [], 0
+    stack = blocks.shape[0]
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         end = pos + fan_out * fan_in
-        layers.append((block[pos:end].reshape(fan_out, fan_in),
-                       block[end:end + fan_out]))
+        # copy=False raises rather than copy: gradients are written here
+        layers.append((blocks[:, pos:end].reshape(stack, fan_out, fan_in,
+                                                  copy=False),
+                       blocks[:, end:end + fan_out, None]))
         pos = end + fan_out
     return layers
 
 
-def mlp_forward(widths, block: np.ndarray, x: np.ndarray):
-    """Fully connected stack on feature-major input x, shape (fan_in, n);
-    tanh after every layer except the last.
+def mlp_forward(widths, blocks: np.ndarray, x: np.ndarray, acts=None):
+    """S fully connected stacks at once; tanh after every layer except the
+    last.
 
-    Returns (output, cache); output is (fan_out, n) and cache holds the
-    per-layer activations.
+    blocks is (S, P), one flat parameter block per stack, and x the
+    feature-major input, (S, fan_in, n), or (fan_in, n) shared by all S.
+    Layer outputs are written into acts, one (S, fan_out, n) buffer per
+    layer, when given, else into fresh arrays. Returns (output, cache);
+    output is (S, fan_out, n) and cache holds x and every layer's output.
     """
-    a = x
-    cache = [a]
-    layers = _layers(widths, block)
+    layers = _layers(widths, blocks)
+    if acts is None:
+        acts = [np.empty((blocks.shape[0], fan_out, x.shape[-1]))
+                for fan_out in widths[1:]]
+    a, cache = x, [x]
     last = len(layers) - 1
-    for idx, (weights, bias) in enumerate(layers):
+    for idx, ((weights, bias), z) in enumerate(zip(layers, acts)):
         # a fan-in-1 layer is an outer product: broadcast, not matmul
-        z = weights * a if weights.shape[1] == 1 else weights @ a
-        z += bias[:, None]
+        if weights.shape[2] == 1:
+            np.multiply(weights, a, out=z)
+        else:
+            np.matmul(weights, a, out=z)
+        z += bias
         if idx != last:
             np.tanh(z, out=z)
         a = z
@@ -160,71 +176,140 @@ def mlp_forward(widths, block: np.ndarray, x: np.ndarray):
     return a, cache
 
 
-def mlp_backward(widths, block: np.ndarray, cache, g_out,
-                 grad_block: np.ndarray):
-    """Backprop dL/d(output), shape (fan_out, n), through the stack.
+def mlp_backward(widths, blocks: np.ndarray, cache, g_out,
+                 grad_blocks: np.ndarray, g_ins=None, input_grad=True):
+    """Backprop dL/d(output), shape (S, fan_out, n), through the stacks.
 
-    Adds dL/dW and dL/db into grad_block (laid out like block) and returns
-    dL/d(input), shape (fan_in, n). The tanh derivative is recovered from
-    the cached activation as 1 - a^2.
+    Writes dL/dW and dL/db into grad_blocks (laid out like blocks) and
+    returns dL/d(input), shape (S, fan_in, n), or None without input_grad,
+    which skips the first layer's input gradient. g_ins, when given, holds
+    per layer the (S, fan_in, n) buffer its input gradient goes to. The
+    tanh derivative 1 - a^2 is formed in place of the cached hidden
+    activations, so the cache is spent afterwards.
     """
-    layers = _layers(widths, block)
-    grads = _layers(widths, grad_block)
-    last = len(layers) - 1
+    layers = _layers(widths, blocks)
+    grads = _layers(widths, grad_blocks)
     g = g_out
-    for idx in range(last, -1, -1):
-        if idx != last:
-            a = cache[idx + 1]
-            g *= 1.0 - a * a  # g is this call's own temporary here
+    for idx in range(len(layers) - 1, -1, -1):
+        a = cache[idx]
         g_weights, g_bias = grads[idx]
-        g_weights += g @ cache[idx].T
-        g_bias += g.sum(axis=1)
+        np.matmul(g, a.mT, out=g_weights)
+        np.add.reduce(g, axis=2, keepdims=True, out=g_bias)
+        if idx == 0 and not input_grad:
+            return None
         weights = layers[idx][0]
-        g = weights.T * g if weights.shape[0] == 1 else weights.T @ g
+        g_in = (np.empty((g.shape[0], weights.shape[2], g.shape[2]))
+                if g_ins is None else g_ins[idx])
+        if weights.shape[1] == 1:
+            np.multiply(weights.mT, g, out=g_in)
+        else:
+            np.matmul(weights.mT, g, out=g_in)
+        if idx:  # a is a hidden tanh output
+            np.multiply(a, a, out=a)
+            np.subtract(1.0, a, out=a)
+            g_in *= a
+        g = g_in
     return g
 
 
-def _sigmoid(x):
-    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so the exp never overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(x, out, e, mask):
+    """Logistic function of x into out (which may be x); e and mask are
+    scratch shaped like x. 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so
+    the exp never overflows."""
+    np.greater_equal(x, 0.0, out=mask)
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.add(1.0, e, out=out)
+    np.copyto(e, 1.0, where=mask)
+    return np.divide(e, out, out=out)
 
 
-def _feature_major(y) -> np.ndarray:
-    """IQ rows (m, 2) as a contiguous (2, m) array."""
-    return np.ascontiguousarray(np.asarray(y, dtype=float).T)
+class _Workspace:
+    """Every buffer an SMN pass over S curves and m rows writes into."""
+
+    def __init__(self, stack, encoder_widths, decoder_widths, rows):
+        s, m, n = stack, rows, stack * rows
+        self.yt = np.empty((2, m))
+        self.wt = np.empty((s, m))
+        self.enc_acts = [np.empty((s, w, m)) for w in encoder_widths[1:]]
+        self.lam = self.enc_acts[-1].reshape(1, 1, n)  # coordinates side by side
+        self.dec_acts = [np.empty((1, w, n)) for w in decoder_widths[1:]]
+        # decoder outputs per curve: radius logit, then radius, then the
+        # gradient at the logit; angle, then rho cos, then the gradient
+        # at the angle
+        self.rho = self.dec_acts[-1][0, 0].reshape(s, m)
+        self.angle = self.dec_acts[-1][0, 1].reshape(s, m)
+        self.proj = np.empty((s, 2, m))
+        self.resid = np.empty((s, 2, m))  # proj - y, then dL/d(proj)
+        self.tmp = np.empty((s, m))
+        self.tmp2 = np.empty((s, m))
+        self.mask = np.empty((s, m), dtype=bool)
+        # input gradients: the decoder's goes to tmp. Its backward pass
+        # ends before the encoders' starts, so at each hidden depth the two
+        # share one buffer of n * (the wider of the two layers) floats.
+        hidden = (encoder_widths[1:-1], decoder_widths[1:-1])
+        shared = [np.empty(n * max(pair))
+                  for pair in zip_longest(*hidden, fillvalue=0)]
+        self.enc_g_ins = [None] + [buf[:n * w].reshape(s, w, m)
+                                   for buf, w in zip(shared, hidden[0])]
+        self.dec_g_ins = [self.tmp.reshape(1, 1, n)] + [
+            buf[:n * w].reshape(1, w, n) for buf, w in zip(shared, hidden[1])]
+        enc_size = param_count(encoder_widths)
+        self.grad = np.empty(s * enc_size + param_count(decoder_widths))
+        self.enc_grad = self.grad[:s * enc_size].reshape(s, enc_size)
+        self.dec_grad = self.grad[None, s * enc_size:]
+        self.finite = np.empty(self.grad.shape, dtype=bool)
 
 
-def _decode(model: SmnModel, lam: np.ndarray):
-    """Shared decoder on coordinates lam (1, n): the canonical curve point
-    in polar form (radius rho, cos and sin of the angle, each (n,)) plus
-    the decoder cache."""
-    u, cache = mlp_forward(model.decoder_widths,
-                           model.params[model.decoder_slice], lam)
-    return _sigmoid(u[0]), np.cos(u[1]), np.sin(u[1]), cache
+# The most recently used workspaces of this thread; a fit needs two (pilot
+# rows and frame rows).
+_WORKSPACES = threading.local()
+_WORKSPACE_LIMIT = 4
 
 
-def _group_forward(model: SmnModel, start: int, stop: int, yt: np.ndarray):
-    """Projections of feature-major rows yt (2, m) onto curves start..stop-1.
+def _workspace(model: SmnModel, stack: int, rows: int) -> _Workspace:
+    cache = getattr(_WORKSPACES, "cache", None)
+    if cache is None:
+        cache = _WORKSPACES.cache = OrderedDict()
+    key = (stack, model.encoder_widths, model.decoder_widths, rows)
+    ws = cache.pop(key, None)
+    if ws is None:
+        ws = _Workspace(*key)
+    cache[key] = ws  # most recently used last
+    if len(cache) > _WORKSPACE_LIMIT:
+        cache.popitem(last=False)
+    return ws
 
-    The curves' encoder outputs are stacked side by side so the shared
-    decoder runs once for the whole group. Returns proj, shape
-    (stop - start, 2, m), and every cache backprop needs.
-    """
-    m = yt.shape[1]
-    outs, enc_caches = [], []
-    for k in range(start, stop):
-        lam, cache = mlp_forward(model.encoder_widths,
-                                 model.params[model.encoder_slice(k)], yt)
-        outs.append(lam)
-        enc_caches.append(cache)
-    lam = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
-    rho, cos, sin, dec_cache = _decode(model, lam)
-    shape = (stop - start, m)
-    rho, cos, sin = rho.reshape(shape), cos.reshape(shape), sin.reshape(shape)
-    cart = np.stack([rho * cos, rho * sin], axis=1)
-    proj = model.transforms[start:stop] @ cart
-    return proj, (enc_caches, dec_cache, rho, cos, sin)
+
+def _forward(model: SmnModel, ws: _Workspace, curves: slice):
+    """Projections of the rows in ws.yt onto the given curves, into
+    ws.proj. Returns the stacked encoder blocks and the decoder block
+    with their MLP caches."""
+    split = model.decoder_slice.start
+    enc_blocks = model.params[:split].reshape(model.order, -1)[curves]
+    dec_block = model.params[None, split:]
+    _, enc_cache = mlp_forward(model.encoder_widths, enc_blocks, ws.yt,
+                               ws.enc_acts)
+    _, dec_cache = mlp_forward(model.decoder_widths, dec_block, ws.lam,
+                               ws.dec_acts)
+    rho, cart0, cart1, tmp = ws.rho, ws.angle, ws.tmp2, ws.tmp
+    _sigmoid(rho, rho, cart1, ws.mask)
+    np.sin(cart0, out=cart1)
+    np.cos(cart0, out=cart0)
+    cart0 *= rho
+    cart1 *= rho
+    # proj = x_k * cart in complex form
+    re = model.transforms[curves, 0, :1]
+    im = model.transforms[curves, 1, :1]
+    p0, p1 = ws.proj[:, 0], ws.proj[:, 1]
+    np.multiply(re, cart0, out=p0)
+    np.multiply(im, cart1, out=tmp)
+    p0 -= tmp
+    np.multiply(im, cart0, out=p1)
+    np.multiply(re, cart1, out=tmp)
+    p1 += tmp
+    return (enc_blocks, enc_cache), (dec_block, dec_cache)
 
 
 def project(model: SmnModel, k: int, y: np.ndarray) -> np.ndarray:
@@ -233,28 +318,29 @@ def project(model: SmnModel, k: int, y: np.ndarray) -> np.ndarray:
     Accepts a single (2,) point or an (m, 2) batch and mirrors the shape.
     """
     y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    proj, _ = _group_forward(model, k, k + 1,
-                             _feature_major(y[None, :] if single else y))
-    return proj[0, :, 0] if single else proj[0].T
+    rows = y[None] if y.ndim == 1 else y
+    ws = _workspace(model, 1, rows.shape[0])
+    np.copyto(ws.yt, rows.T)
+    _forward(model, ws, slice(k, k + 1))
+    proj = ws.proj[0].T.copy()
+    return proj[0] if y.ndim == 1 else proj
 
 
 def project_all(model: SmnModel, y: np.ndarray) -> np.ndarray:
     """Projections onto every curve, shape (m, K, 2)."""
-    yt = _feature_major(y)
-    out = np.empty((yt.shape[1], model.order, 2))
-    for start, stop in _groups(model.order, yt.shape[1]):
-        proj, _ = _group_forward(model, start, stop, yt)
-        out[:, start:stop, :] = proj.transpose(2, 0, 1)
-    return out
+    yt = np.asarray(y, dtype=float).T
+    ws = _workspace(model, model.order, yt.shape[1])
+    np.copyto(ws.yt, yt)
+    _forward(model, ws, slice(None))
+    return ws.proj.transpose(2, 0, 1).copy()
 
 
 def encode(model: SmnModel, k: int, y: np.ndarray) -> np.ndarray:
     """Curve coordinates of IQ rows under symbol k's encoder, shape (m,)."""
     lam, _ = mlp_forward(model.encoder_widths,
-                         model.params[model.encoder_slice(k)],
-                         _feature_major(y))
-    return lam[0]
+                         model.params[None, model.encoder_slice(k)],
+                         np.ascontiguousarray(np.asarray(y, dtype=float).T))
+    return lam[0, 0]
 
 
 def decode_curve(model: SmnModel, lam_grid: np.ndarray) -> np.ndarray:
@@ -263,9 +349,12 @@ def decode_curve(model: SmnModel, lam_grid: np.ndarray) -> np.ndarray:
     Returns (K, len(lam_grid), 2); row k is T_k applied to the canonical
     curve, so the K polylines are rigid copies of one another.
     """
-    lam = np.asarray(lam_grid, dtype=float).reshape(1, -1)
-    rho, cos, sin, _ = _decode(model, lam)
-    cart = np.stack([rho * cos, rho * sin])
+    lam = np.asarray(lam_grid, dtype=float).reshape(1, 1, -1)
+    u, _ = mlp_forward(model.decoder_widths,
+                       model.params[None, model.decoder_slice], lam)
+    rho, angle = u[0]
+    _sigmoid(rho, rho, np.empty_like(rho), np.empty(rho.shape, dtype=bool))
+    cart = np.stack([rho * np.cos(angle), rho * np.sin(angle)])
     return (model.transforms @ cart).transpose(0, 2, 1)
 
 
@@ -306,40 +395,50 @@ def loss_and_gradients(model: SmnModel, y: np.ndarray, w: np.ndarray):
     """Weighted reconstruction loss and its gradient, a flat vector laid out
     like collect_params.
 
-    The shared decoder accumulates gradient contributions from every symbol
+    The shared decoder's gradient sums the contributions of every symbol
     curve; the fixed transforms get none. Raises NonFiniteError if anything
     overflows to NaN/Inf.
     """
     y, w = _check_batch(model, y, w)
     m = y.shape[0]
-    yt, wt = _feature_major(y), np.ascontiguousarray(w.T)
+    ws = _workspace(model, model.order, m)
+    np.copyto(ws.yt, y.T)
+    np.copyto(ws.wt, w.T)
+    (enc_blocks, enc_cache), (dec_block, dec_cache) = _forward(
+        model, ws, slice(None))
 
-    loss = 0.0
-    grad = np.zeros_like(model.params)
-    dec = model.decoder_slice
-    for start, stop in _groups(model.order, m):
-        proj, (enc_caches, dec_cache, rho, cos, sin) = _group_forward(
-            model, start, stop, yt)
-        resid = proj - yt
-        w_group = wt[start:stop]
-        loss += float(np.vdot(w_group, np.sum(resid ** 2, axis=1))) / m
+    g, tmp, tmp2 = ws.resid, ws.tmp, ws.tmp2
+    np.subtract(ws.proj, ws.yt, out=g)
+    np.multiply(g[:, 0], g[:, 0], out=tmp)
+    np.multiply(g[:, 1], g[:, 1], out=tmp2)
+    tmp += tmp2
+    tmp *= ws.wt
+    loss = float(tmp.sum()) / m
 
-        g_proj = (2.0 / m) * w_group[:, None, :] * resid
-        g_cart = model.transforms[start:stop].transpose(0, 2, 1) @ g_proj
-        g_u = np.empty((2, stop - start, m))
-        g_u[0] = (g_cart[:, 0] * cos + g_cart[:, 1] * sin) * rho * (1.0 - rho)
-        g_u[1] = rho * (-g_cart[:, 0] * sin + g_cart[:, 1] * cos)
-        g_lam = mlp_backward(model.decoder_widths, model.params[dec],
-                             dec_cache, g_u.reshape(2, -1), grad[dec])
-        for j, k in enumerate(range(start, stop)):
-            enc = model.encoder_slice(k)
-            mlp_backward(model.encoder_widths, model.params[enc],
-                         enc_caches[j], g_lam[:, j * m:(j + 1) * m],
-                         grad[enc])
+    np.multiply(ws.wt, 2.0 / m, out=tmp)
+    np.multiply(g, tmp[:, None, :], out=g)
+    p0, p1, g0, g1 = ws.proj[:, 0], ws.proj[:, 1], g[:, 0], g[:, 1]
+    # the decoder output gradient overwrites its output (see module doc)
+    g_angle, g_rho = ws.angle, ws.rho
+    np.multiply(p0, g1, out=g_angle)
+    np.multiply(p1, g0, out=tmp)
+    g_angle -= tmp
+    np.multiply(p0, g0, out=tmp)
+    np.multiply(p1, g1, out=tmp2)
+    tmp += tmp2
+    np.subtract(1.0, g_rho, out=tmp2)
+    np.multiply(tmp, tmp2, out=g_rho)
 
-    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+    g_lam = mlp_backward(model.decoder_widths, dec_block, dec_cache,
+                         ws.dec_acts[-1], ws.dec_grad, ws.dec_g_ins)
+    mlp_backward(model.encoder_widths, enc_blocks, enc_cache,
+                 g_lam.reshape(model.order, 1, m), ws.enc_grad,
+                 ws.enc_g_ins, input_grad=False)
+
+    if not (math.isfinite(loss)
+            and np.isfinite(ws.grad, out=ws.finite).all()):
         raise NonFiniteError("loss or gradient overflowed to NaN/Inf")
-    return loss, grad
+    return loss, ws.grad.copy()
 
 
 @dataclass(frozen=True)

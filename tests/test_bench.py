@@ -37,6 +37,40 @@ def quick_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def valid_configs():
+    """Configs that pass validation, over every field."""
+    reals = st.floats(allow_nan=False, allow_infinity=False)
+    positive = st.floats(1e-6, 1e3)
+    counts = st.integers(0, 10**6)
+    return st.builds(
+        ExperimentConfig,
+        carrier_freq_hz=reals, collision_freq_hz=reals,
+        frequencies_are_angular=st.booleans(), n_e_min=reals,
+        n_e_max=reals, sheath_thickness_m=st.none() | reals,
+        gain_floor=st.floats(0, 1, exclude_min=True, exclude_max=True),
+        standard_drude_loss=st.booleans(),
+        profile=st.sampled_from(["sinusoid", "linear_sweep", "constant"]),
+        oscillation_freq_hz=reals, phase_offset_rad=reals,
+        symbol_rate_hz=reals, constant_level=st.none() | reals,
+        bits_per_symbol=st.integers(1, 4),
+        frame_length=st.integers(64, 10**6),
+        pilot_intervals=st.lists(st.integers(1, 64), min_size=1,
+                                 max_size=4, unique=True).map(tuple),
+        snr_db=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=5,
+                        unique_by=bench._snr_key).map(tuple),
+        snr_reference=st.sampled_from(["transmit", "received"]),
+        snr_is_ebn0=st.booleans(), pretrain_steps=counts,
+        em_iterations=counts, mstep_steps=counts, learning_rate=positive,
+        init_std=positive, hidden_units=st.integers(1, 64),
+        dnn_hidden=st.integers(1, 64), dnn_steps=counts,
+        dnn_learning_rate=positive,
+        receivers=st.lists(st.sampled_from(bench.RECEIVER_NAMES),
+                           min_size=1, unique=True).map(tuple),
+        trials=st.integers(1, 100), seed=st.integers(0, 2**63),
+        workers=st.integers(1, 64),
+        out_dir=st.text("abcxyz019_-./", max_size=20))
+
+
 class TestConfigFormat:
     def test_round_trip(self):
         config = quick_config(snr_db=(0.0, 3.5), receivers=("genie_ml",),
@@ -45,6 +79,11 @@ class TestConfigFormat:
 
     def test_defaults_round_trip(self):
         config = ExperimentConfig()
+        assert config_from_text(config_to_text(config)) == config
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_configs())
+    def test_generated_configs_round_trip(self, config):
         assert config_from_text(config_to_text(config)) == config
 
     def test_density_unit_suffixes(self):
@@ -350,11 +389,15 @@ class TestCli:
         ("ser-sweep", "hidden_units = 0\n", []),
         ("ser-sweep", "dnn_steps = -3\n", []),
         ("ser-sweep", "init_std = -1\n", []),
+        ("ser-sweep", "bits_per_symbol = 9\n", []),
+        ("ser-sweep", "gain_floor = 1.5\n", []),
+        ("ser-sweep", "gain_floor = nan\n", []),
     ], ids=["no-receivers", "no-intervals", "nan-snr", "snapshots-no-snr",
             "fading-no-snr", "duplicate-snr", "zero-interval",
             "interval-over-frame", "huge-snr", "colliding-snr",
             "negative-pretrain-steps", "zero-learning-rate",
-            "zero-hidden-units", "negative-dnn-steps", "negative-init-std"])
+            "zero-hidden-units", "negative-dnn-steps", "negative-init-std",
+            "bits-9", "gain-floor-1.5", "gain-floor-nan"])
     def test_bad_config_exit_two(self, tmp_path, capsys, command,
                                  config_text, flags):
         # a short base run, so a check that lets the input through fails

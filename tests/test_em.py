@@ -279,6 +279,25 @@ class TestFit:
                                          mstep_steps=5), rng_seed=54)
         assert rows == [len(rx)] * (1 + iterations)
 
+    def test_every_step_calls_loss_and_gradients_through_em(self,
+                                                           monkeypatch):
+        # the benchmark's tracer counts training steps by patching this
+        # module attribute, so each Adam step must look it up there
+        const, frame, rx = static_run(0.75, snr_db=10.0, seed=55)
+        original = em_module.loss_and_gradients
+        calls = []
+
+        def counting(model, y, w):
+            calls.append(len(y))
+            return original(model, y, w)
+
+        monkeypatch.setattr(em_module, "loss_and_gradients", counting)
+        schedule = EmSchedule(pretrain_steps=7, em_iterations=3,
+                              mstep_steps=5)
+        fit(rx, frame, const, schedule, rng_seed=55)
+        pilots = len(frame.pilot_positions)
+        assert calls == [pilots] * 7 + [len(rx)] * 15
+
     def test_noiseless_static_payload_posteriors_near_one_hot(self):
         const, frame, rx = static_run(0.8, seed=53)
         schedule = EmSchedule(pretrain_steps=1000, em_iterations=4,

@@ -5,8 +5,16 @@ and the weighted loss against a brute-force double loop, so the two code
 paths fail independently if either is wrong.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 from plasmalink.exceptions import NonFiniteError
 from plasmalink.link import build_constellation
@@ -313,3 +321,96 @@ class TestAdam:
             p, st = adam_step(collect_params(m), g, st)
             m = with_params(m, p)
         assert weighted_loss(m, y, w) < before
+
+
+class TestWorkspaces:
+    """The SMN kernel reuses per-shape buffers; results must not show it."""
+
+    @staticmethod
+    def cases():
+        qpsk = init_model(build_constellation(2), rng_seed=40)
+        psk16 = init_model(build_constellation(4), rng_seed=41)
+        return [(qpsk, *make_batch(qpsk, 16, seed=42)),
+                (qpsk, *make_batch(qpsk, 4096, seed=43)),
+                (psk16, *make_batch(psk16, 1024, seed=44)),
+                (qpsk, *make_batch(qpsk, 16, seed=45))]
+
+    @staticmethod
+    def run(model, y, w):
+        loss, grads = loss_and_gradients(model, y, w)
+        return loss, grads, project_all(model, y), project(model, 1, y)
+
+    def test_interleaved_shapes_bit_identical(self):
+        # references from a fresh thread, whose workspace cache is empty;
+        # then n=16, n=4096, K=16, n=16 with other rows, n=16 again here
+        cases = self.cases()
+        fresh = []
+        worker = threading.Thread(
+            target=lambda: fresh.extend(self.run(*c) for c in cases))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and len(fresh) == len(cases)
+        for _ in range(2):
+            for case, want in zip(cases + cases[:1], fresh + fresh[:1]):
+                got = self.run(*case)
+                assert got[0] == want[0]
+                for a, b in zip(got[1:], want[1:]):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_threads_do_not_share_workspaces(self):
+        # more threads than cores, switching often, all on the same shapes
+        cases = self.cases()[:2]
+        want = [self.run(*c) for c in cases]
+        mismatches, done = [], []
+
+        def work():
+            for _ in range(10):
+                for case, ref in zip(cases, want):
+                    got = self.run(*case)
+                    if got[0] != ref[0] or not all(
+                            np.array_equal(a, b)
+                            for a, b in zip(got[1:], ref[1:])):
+                        mismatches.append(case[1].shape)
+            done.append(True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert len(done) == len(workers) and not mismatches
+
+    def test_returned_arrays_are_fresh(self):
+        (model, y, w), _, _, (_, y2, w2) = self.cases()
+        first = self.run(model, y, w)
+        kept = [np.copy(a) for a in first[1:]]
+        second = self.run(model, y2, w2)
+        for a, b, c in zip(first[1:], kept, second[1:]):
+            np.testing.assert_array_equal(a, b)
+            assert not np.shares_memory(a, c)
+
+    def test_inputs_untouched(self):
+        model, y, w = self.cases()[1]
+        before = [np.copy(a) for a in (y, w, model.params)]
+        self.run(model, y, w)
+        weighted_loss(model, y, w)
+        for a, b in zip((y, w, model.params), before):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.skipif(resource is None, reason="needs getrusage")
+    def test_warm_steps_take_no_page_faults(self):
+        # a fresh temporary of 128 KiB or more is faulted in page by page
+        model, y, w = self.cases()[1]
+        for _ in range(3):
+            loss_and_gradients(model, y, w)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            loss_and_gradients(model, y, w)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert after - before < 20

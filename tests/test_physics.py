@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plasmalink import physics
 from plasmalink.exceptions import ConfigError
@@ -159,6 +160,18 @@ class TestChannelGain:
         mags = np.abs(channel_gain(grid, params))
         assert np.all(np.diff(mags) <= 1e-15)
         assert np.all(mags <= 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans(), st.floats(0.01, 0.99),
+           st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6))
+    def test_magnitude_nonincreasing_over_density_range(self, drude, floor,
+                                                        fractions):
+        params = reference_channel_params(standard_drude_loss=drude,
+                                          gain_floor=floor)
+        lo, hi = params.density_range
+        densities = np.clip(lo + (hi - lo) * np.sort(fractions), lo, hi)
+        mags = np.abs([channel_gain(float(n), params) for n in densities])
+        assert np.all(np.diff(mags) <= 1e-15)
 
     def test_pure(self, params):
         grid = np.logspace(22, 23, 17)
