@@ -16,7 +16,14 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .link import Constellation, Frame, ReceivedSequence
-from .net import adam_step, init_adam, mlp_backward, mlp_forward, param_count
+from .net import (
+    adam_step,
+    init_adam,
+    mlp_backward,
+    mlp_forward,
+    mlp_layers,
+    param_count,
+)
 from .seeding import role_rng
 
 __all__ = [
@@ -120,17 +127,20 @@ def supervised_dnn(received: ReceivedSequence, frame: Frame,
 
     state = init_adam(params)
     grads = np.empty_like(params)
+    # layer views bound once; each Adam result is copied into params
+    layers = mlp_layers(widths, params[None])
+    grad_layers = mlp_layers(widths, grads[None])
     for _ in range(config.steps):
-        logits, cache = mlp_forward(widths, params[None], x_train)
+        logits, cache = mlp_forward(layers, x_train)
         # mean cross-entropy gradient
         g_logits = (_softmax(logits[0]) - onehot) / n
-        mlp_backward(widths, params[None], cache, g_logits[None],
-                     grads[None], input_grad=False)
-        params, state = adam_step(params, grads, state,
-                                  learning_rate=config.learning_rate)
+        mlp_backward(layers, cache, g_logits[None], grad_layers,
+                     input_grad=False)
+        new_params, state = adam_step(params, grads, state,
+                                      learning_rate=config.learning_rate)
+        np.copyto(params, new_params)
 
-    logits, _ = mlp_forward(widths, params[None],
-                            np.ascontiguousarray(received.iq().T))
+    logits, _ = mlp_forward(layers, np.ascontiguousarray(received.iq().T))
     return BaselineResult(name="supervised_dnn",
                           decisions=np.argmax(logits[0], axis=0))
 

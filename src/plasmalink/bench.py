@@ -155,9 +155,45 @@ class ExperimentConfig:
         if not 0 < self.gain_floor < 1:
             raise ConfigError(f"gain_floor must lie in (0, 1), "
                               f"got {self.gain_floor}")
+        self._check_channel()
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # built only so that their own field checks run now
         self.schedule()
         self.dnn_config()
+
+    def _check_channel(self):
+        """Channel and density-trajectory fields: the range checks the
+        physics makes when build_channel runs, which is after config.txt
+        is written, plus finiteness, which the physics does not check."""
+        names = ("carrier_freq_hz", "collision_freq_hz", "n_e_min",
+                 "n_e_max", "oscillation_freq_hz", "phase_offset_rad",
+                 "symbol_rate_hz")
+        bad = [n for n in names if not np.isfinite(getattr(self, n))]
+        if bad:
+            raise ConfigError(f"{', '.join(bad)} must be finite")
+        if self.carrier_freq_hz <= 0:
+            raise ConfigError("carrier_freq_hz must be > 0")
+        if self.collision_freq_hz < 0:
+            raise ConfigError("collision_freq_hz must be >= 0")
+        if not 0 < self.n_e_min <= self.n_e_max:
+            raise ConfigError(f"densities must satisfy 0 < n_e_min <= "
+                              f"n_e_max, got {self.n_e_min:g}, "
+                              f"{self.n_e_max:g}")
+        thickness = self.sheath_thickness_m
+        if thickness is not None and not 0 < thickness < np.inf:
+            raise ConfigError(f"sheath_thickness_m must be finite and > 0, "
+                              f"got {thickness:g}")
+        if self.symbol_rate_hz <= 0:
+            raise ConfigError("symbol_rate_hz must be > 0")
+        if self.profile == "sinusoid" and self.oscillation_freq_hz <= 0:
+            raise ConfigError("oscillation_freq_hz must be > 0 for the "
+                              "sinusoid profile")
+        level = self.constant_level
+        if self.profile == "constant" and level is not None and not (
+                self.n_e_min <= level <= self.n_e_max):
+            raise ConfigError(f"constant_level {level:g} outside density "
+                              f"range [{self.n_e_min:g}, {self.n_e_max:g}]")
 
     def schedule(self) -> EmSchedule:
         return EmSchedule(pretrain_steps=self.pretrain_steps,

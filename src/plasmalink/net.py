@@ -14,9 +14,17 @@ matrix T_k lifts it onto symbol k's curve. For x_k = re + j*im,
            [im,  re]]
 
 which is multiplication by x_k in IQ coordinates. The transforms encode the
-constellation symmetry exactly and are never trained. Because T_k is a
-complex multiplication, the backward pass needs neither T_k^T nor the angle:
-with proj = x_k rho e^{i theta} and g = dL/d(proj),
+constellation symmetry exactly and are never trained.
+
+The polar point becomes IQ through the half-angle form: with
+t = tan(theta / 2) and q = rho / (1 + t^2),
+
+    rho cos(theta) = q (1 - t^2),    rho sin(theta) = 2 q t
+
+NumPy evaluates float64 tan as a vectorised loop but sin and cos through
+scalar libm calls, so one tan costs a fraction of a sin and a cos. Because
+T_k is a complex multiplication, the backward pass needs neither T_k^T nor
+the angle: with proj = x_k rho e^{i theta} and g = dL/d(proj),
 
     dL/d(radius logit) = (1 - rho) <proj, g>
     dL/d(theta)        = proj x g          (the 2-D cross product)
@@ -29,15 +37,18 @@ updates are functional (new objects out, inputs untouched).
 
 The MLP kernel runs S networks of one shape at once: their flat blocks are
 the rows of an (S, P) array, every layer's weights an (S, fan_out, fan_in)
-view, and batches are feature-major, (S, features, rows). The K encoder
-blocks are contiguous, so all K encoders run as one stack, and their K
-coordinate rows, side by side, take one pass of the shared decoder.
+view (mlp_layers), and batches are feature-major, (S, features, rows). The
+K encoder blocks are contiguous, so all K encoders run as one stack, and
+their K coordinate rows, side by side, take one pass of the shared decoder.
 
 The SMN passes write every temporary into preallocated buffers, one set
 per (K, widths, rows) shape, kept in a small per-thread cache, so a
 training step reuses the same memory instead of paging in fresh arrays.
-Every buffer is written before it is read, so earlier calls never change
-a result, and what a public function returns is always a fresh array.
+Each set also owns a parameter buffer laid out like the parameters of its
+stack, with the layer views of it and of its gradient built once; a pass
+starts by copying the model's parameters in. Every buffer is written
+before it is read, so earlier calls never change a result, and what a
+public function returns is always a fresh array.
 """
 
 from __future__ import annotations
@@ -60,6 +71,7 @@ __all__ = [
     "symbol_transforms",
     "param_count",
     "init_model",
+    "mlp_layers",
     "mlp_forward",
     "mlp_backward",
     "project",
@@ -131,7 +143,7 @@ def init_model(constellation: Constellation, rng_seed: int,
                     noise_variance=float(noise_variance))
 
 
-def _layers(widths, blocks):
+def mlp_layers(widths, blocks):
     """(weights, bias) views of every layer of stacked flat blocks (S, P):
     weights (S, fan_out, fan_in), bias (S, fan_out, 1)."""
     layers, pos = [], 0
@@ -146,20 +158,19 @@ def _layers(widths, blocks):
     return layers
 
 
-def mlp_forward(widths, blocks: np.ndarray, x: np.ndarray, acts=None):
+def mlp_forward(layers, x: np.ndarray, acts=None):
     """S fully connected stacks at once; tanh after every layer except the
     last.
 
-    blocks is (S, P), one flat parameter block per stack, and x the
+    layers are the mlp_layers views of the S stacks' parameters and x the
     feature-major input, (S, fan_in, n), or (fan_in, n) shared by all S.
     Layer outputs are written into acts, one (S, fan_out, n) buffer per
     layer, when given, else into fresh arrays. Returns (output, cache);
     output is (S, fan_out, n) and cache holds x and every layer's output.
     """
-    layers = _layers(widths, blocks)
     if acts is None:
-        acts = [np.empty((blocks.shape[0], fan_out, x.shape[-1]))
-                for fan_out in widths[1:]]
+        acts = [np.empty((weights.shape[0], weights.shape[1], x.shape[-1]))
+                for weights, _ in layers]
     a, cache = x, [x]
     last = len(layers) - 1
     for idx, ((weights, bias), z) in enumerate(zip(layers, acts)):
@@ -176,19 +187,17 @@ def mlp_forward(widths, blocks: np.ndarray, x: np.ndarray, acts=None):
     return a, cache
 
 
-def mlp_backward(widths, blocks: np.ndarray, cache, g_out,
-                 grad_blocks: np.ndarray, g_ins=None, input_grad=True):
+def mlp_backward(layers, cache, g_out, grads, g_ins=None, input_grad=True):
     """Backprop dL/d(output), shape (S, fan_out, n), through the stacks.
 
-    Writes dL/dW and dL/db into grad_blocks (laid out like blocks) and
-    returns dL/d(input), shape (S, fan_in, n), or None without input_grad,
-    which skips the first layer's input gradient. g_ins, when given, holds
-    per layer the (S, fan_in, n) buffer its input gradient goes to. The
-    tanh derivative 1 - a^2 is formed in place of the cached hidden
-    activations, so the cache is spent afterwards.
+    Writes dL/dW and dL/db into grads, the mlp_layers views of a gradient
+    laid out like the parameters, and returns dL/d(input), shape
+    (S, fan_in, n), or None without input_grad, which skips the first
+    layer's input gradient. g_ins, when given, holds per layer the
+    (S, fan_in, n) buffer its input gradient goes to. The tanh derivative
+    1 - a^2 is formed in place of the cached hidden activations, so the
+    cache is spent afterwards.
     """
-    layers = _layers(widths, blocks)
-    grads = _layers(widths, grad_blocks)
     g = g_out
     for idx in range(len(layers) - 1, -1, -1):
         a = cache[idx]
@@ -225,19 +234,48 @@ def _sigmoid(x, out, e, mask):
     return np.divide(e, out, out=out)
 
 
+def _polar(rho, angle, out0, out1):
+    """rho cos(angle) into out0 and rho sin(angle) into out1 by the
+    half-angle form (see module doc); angle is left holding tan(angle/2).
+    rho must share no memory with out0 or out1."""
+    t = np.multiply(angle, 0.5, out=angle)
+    np.tan(t, out=t)
+    np.multiply(t, t, out=out0)
+    np.add(out0, 1.0, out=out1)
+    np.divide(rho, out1, out=out1)  # q
+    np.subtract(1.0, out0, out=out0)
+    out0 *= out1
+    np.multiply(out1, t, out=out1)
+    out1 += out1
+
+
 class _Workspace:
     """Every buffer an SMN pass over S curves and m rows writes into."""
 
     def __init__(self, stack, encoder_widths, decoder_widths, rows):
         s, m, n = stack, rows, stack * rows
+        # the S encoders, then the decoder, laid out like SmnModel.params;
+        # the layer views of the parameters and the gradient are built once
+        enc_size = param_count(encoder_widths)
+        size = s * enc_size + param_count(decoder_widths)
+        params, self.grad = np.empty(size), np.empty(size)
+        self.enc_params = params[:s * enc_size].reshape(s, enc_size)
+        self.dec_params = params[None, s * enc_size:]
+        self.enc_layers = mlp_layers(encoder_widths, self.enc_params)
+        self.dec_layers = mlp_layers(decoder_widths, self.dec_params)
+        self.enc_grads = mlp_layers(
+            encoder_widths, self.grad[:s * enc_size].reshape(s, enc_size))
+        self.dec_grads = mlp_layers(decoder_widths,
+                                    self.grad[None, s * enc_size:])
+        self.finite = np.empty(self.grad.shape, dtype=bool)
         self.yt = np.empty((2, m))
         self.wt = np.empty((s, m))
         self.enc_acts = [np.empty((s, w, m)) for w in encoder_widths[1:]]
         self.lam = self.enc_acts[-1].reshape(1, 1, n)  # coordinates side by side
         self.dec_acts = [np.empty((1, w, n)) for w in decoder_widths[1:]]
         # decoder outputs per curve: radius logit, then radius, then the
-        # gradient at the logit; angle, then rho cos, then the gradient
-        # at the angle
+        # gradient at the logit; angle, then scratch, then the gradient at
+        # the angle
         self.rho = self.dec_acts[-1][0, 0].reshape(s, m)
         self.angle = self.dec_acts[-1][0, 1].reshape(s, m)
         self.proj = np.empty((s, 2, m))
@@ -255,11 +293,6 @@ class _Workspace:
                                    for buf, w in zip(shared, hidden[0])]
         self.dec_g_ins = [self.tmp.reshape(1, 1, n)] + [
             buf[:n * w].reshape(1, w, n) for buf, w in zip(shared, hidden[1])]
-        enc_size = param_count(encoder_widths)
-        self.grad = np.empty(s * enc_size + param_count(decoder_widths))
-        self.enc_grad = self.grad[:s * enc_size].reshape(s, enc_size)
-        self.dec_grad = self.grad[None, s * enc_size:]
-        self.finite = np.empty(self.grad.shape, dtype=bool)
 
 
 # The most recently used workspaces of this thread; a fit needs two (pilot
@@ -284,32 +317,27 @@ def _workspace(model: SmnModel, stack: int, rows: int) -> _Workspace:
 
 def _forward(model: SmnModel, ws: _Workspace, curves: slice):
     """Projections of the rows in ws.yt onto the given curves, into
-    ws.proj. Returns the stacked encoder blocks and the decoder block
-    with their MLP caches."""
+    ws.proj. Returns the MLP caches of the encoders and of the decoder."""
     split = model.decoder_slice.start
-    enc_blocks = model.params[:split].reshape(model.order, -1)[curves]
-    dec_block = model.params[None, split:]
-    _, enc_cache = mlp_forward(model.encoder_widths, enc_blocks, ws.yt,
-                               ws.enc_acts)
-    _, dec_cache = mlp_forward(model.decoder_widths, dec_block, ws.lam,
-                               ws.dec_acts)
-    rho, cart0, cart1, tmp = ws.rho, ws.angle, ws.tmp2, ws.tmp
+    np.copyto(ws.enc_params,
+              model.params[:split].reshape(model.order, -1)[curves])
+    np.copyto(ws.dec_params, model.params[None, split:])
+    _, enc_cache = mlp_forward(ws.enc_layers, ws.yt, ws.enc_acts)
+    _, dec_cache = mlp_forward(ws.dec_layers, ws.lam, ws.dec_acts)
+    rho, cart0, cart1 = ws.rho, ws.tmp, ws.tmp2
     _sigmoid(rho, rho, cart1, ws.mask)
-    np.sin(cart0, out=cart1)
-    np.cos(cart0, out=cart0)
-    cart0 *= rho
-    cart1 *= rho
+    _polar(rho, ws.angle, cart0, cart1)
     # proj = x_k * cart in complex form
     re = model.transforms[curves, 0, :1]
     im = model.transforms[curves, 1, :1]
-    p0, p1 = ws.proj[:, 0], ws.proj[:, 1]
+    p0, p1, tmp = ws.proj[:, 0], ws.proj[:, 1], ws.angle
     np.multiply(re, cart0, out=p0)
     np.multiply(im, cart1, out=tmp)
     p0 -= tmp
     np.multiply(im, cart0, out=p1)
     np.multiply(re, cart1, out=tmp)
     p1 += tmp
-    return (enc_blocks, enc_cache), (dec_block, dec_cache)
+    return enc_cache, dec_cache
 
 
 def project(model: SmnModel, k: int, y: np.ndarray) -> np.ndarray:
@@ -337,8 +365,9 @@ def project_all(model: SmnModel, y: np.ndarray) -> np.ndarray:
 
 def encode(model: SmnModel, k: int, y: np.ndarray) -> np.ndarray:
     """Curve coordinates of IQ rows under symbol k's encoder, shape (m,)."""
-    lam, _ = mlp_forward(model.encoder_widths,
-                         model.params[None, model.encoder_slice(k)],
+    layers = mlp_layers(model.encoder_widths,
+                        model.params[None, model.encoder_slice(k)])
+    lam, _ = mlp_forward(layers,
                          np.ascontiguousarray(np.asarray(y, dtype=float).T))
     return lam[0, 0]
 
@@ -350,11 +379,13 @@ def decode_curve(model: SmnModel, lam_grid: np.ndarray) -> np.ndarray:
     curve, so the K polylines are rigid copies of one another.
     """
     lam = np.asarray(lam_grid, dtype=float).reshape(1, 1, -1)
-    u, _ = mlp_forward(model.decoder_widths,
-                       model.params[None, model.decoder_slice], lam)
+    layers = mlp_layers(model.decoder_widths,
+                        model.params[None, model.decoder_slice])
+    u, _ = mlp_forward(layers, lam)
     rho, angle = u[0]
-    _sigmoid(rho, rho, np.empty_like(rho), np.empty(rho.shape, dtype=bool))
-    cart = np.stack([rho * np.cos(angle), rho * np.sin(angle)])
+    cart = np.empty((2, rho.size))
+    _sigmoid(rho, rho, cart[0], np.empty(rho.shape, dtype=bool))
+    _polar(rho, angle, cart[0], cart[1])
     return (model.transforms @ cart).transpose(0, 2, 1)
 
 
@@ -404,8 +435,7 @@ def loss_and_gradients(model: SmnModel, y: np.ndarray, w: np.ndarray):
     ws = _workspace(model, model.order, m)
     np.copyto(ws.yt, y.T)
     np.copyto(ws.wt, w.T)
-    (enc_blocks, enc_cache), (dec_block, dec_cache) = _forward(
-        model, ws, slice(None))
+    enc_cache, dec_cache = _forward(model, ws, slice(None))
 
     g, tmp, tmp2 = ws.resid, ws.tmp, ws.tmp2
     np.subtract(ws.proj, ws.yt, out=g)
@@ -429,11 +459,10 @@ def loss_and_gradients(model: SmnModel, y: np.ndarray, w: np.ndarray):
     np.subtract(1.0, g_rho, out=tmp2)
     np.multiply(tmp, tmp2, out=g_rho)
 
-    g_lam = mlp_backward(model.decoder_widths, dec_block, dec_cache,
-                         ws.dec_acts[-1], ws.dec_grad, ws.dec_g_ins)
-    mlp_backward(model.encoder_widths, enc_blocks, enc_cache,
-                 g_lam.reshape(model.order, 1, m), ws.enc_grad,
-                 ws.enc_g_ins, input_grad=False)
+    g_lam = mlp_backward(ws.dec_layers, dec_cache, ws.dec_acts[-1],
+                         ws.dec_grads, ws.dec_g_ins)
+    mlp_backward(ws.enc_layers, enc_cache, g_lam.reshape(model.order, 1, m),
+                 ws.enc_grads, ws.enc_g_ins, input_grad=False)
 
     if not (math.isfinite(loss)
             and np.isfinite(ws.grad, out=ws.finite).all()):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import plasmalink.baselines as baselines
 from plasmalink.baselines import (
     DnnTrainConfig,
     genie_ml,
@@ -146,6 +147,22 @@ class TestSupervisedDnn:
         result = supervised_dnn(rx, frame, const, rng_seed=1, config=tiny)
         assert result.decisions.shape == (64,)
         assert result.decisions.dtype.kind == "i"
+
+    def test_layer_views_built_once(self, monkeypatch):
+        # the views are bound to the parameter and gradient buffers before
+        # training, so their count does not grow with the step count
+        const, frame, rx = static_run(0.9, m=64, interval=4)
+        counts = []
+        for steps in (1, 25):
+            calls = []
+            real = baselines.mlp_layers
+            monkeypatch.setattr(baselines, "mlp_layers",
+                                lambda *a: calls.append(1) or real(*a))
+            supervised_dnn(rx, frame, const, rng_seed=1,
+                           config=DnnTrainConfig(steps=steps))
+            monkeypatch.undo()
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     @pytest.mark.parametrize("field, value", [
         ("steps", -1), ("hidden_units", 0), ("learning_rate", 0.0),

@@ -40,18 +40,22 @@ def quick_config(**overrides):
 def valid_configs():
     """Configs that pass validation, over every field."""
     reals = st.floats(allow_nan=False, allow_infinity=False)
+    above_zero = st.floats(0, exclude_min=True, allow_infinity=False)
     positive = st.floats(1e-6, 1e3)
     counts = st.integers(0, 10**6)
-    return st.builds(
+    densities = st.lists(above_zero, min_size=2, max_size=2).map(sorted)
+    return densities.flatmap(lambda n_e: st.builds(
         ExperimentConfig,
-        carrier_freq_hz=reals, collision_freq_hz=reals,
-        frequencies_are_angular=st.booleans(), n_e_min=reals,
-        n_e_max=reals, sheath_thickness_m=st.none() | reals,
+        carrier_freq_hz=above_zero,
+        collision_freq_hz=st.floats(0, allow_infinity=False),
+        frequencies_are_angular=st.booleans(), n_e_min=st.just(n_e[0]),
+        n_e_max=st.just(n_e[1]), sheath_thickness_m=st.none() | above_zero,
         gain_floor=st.floats(0, 1, exclude_min=True, exclude_max=True),
         standard_drude_loss=st.booleans(),
         profile=st.sampled_from(["sinusoid", "linear_sweep", "constant"]),
-        oscillation_freq_hz=reals, phase_offset_rad=reals,
-        symbol_rate_hz=reals, constant_level=st.none() | reals,
+        oscillation_freq_hz=above_zero, phase_offset_rad=reals,
+        symbol_rate_hz=above_zero,
+        constant_level=st.none() | st.floats(*n_e),
         bits_per_symbol=st.integers(1, 4),
         frame_length=st.integers(64, 10**6),
         pilot_intervals=st.lists(st.integers(1, 64), min_size=1,
@@ -68,7 +72,7 @@ def valid_configs():
                            min_size=1, unique=True).map(tuple),
         trials=st.integers(1, 100), seed=st.integers(0, 2**63),
         workers=st.integers(1, 64),
-        out_dir=st.text("abcxyz019_-./", max_size=20))
+        out_dir=st.text("abcxyz019_-./", max_size=20)))
 
 
 class TestConfigFormat:
@@ -392,12 +396,32 @@ class TestCli:
         ("ser-sweep", "bits_per_symbol = 9\n", []),
         ("ser-sweep", "gain_floor = 1.5\n", []),
         ("ser-sweep", "gain_floor = nan\n", []),
+        ("ser-sweep", "carrier_freq_hz = nan\n", []),
+        ("ser-sweep", "phase_offset_rad = nan\n", []),
+        ("ser-sweep", "carrier_freq_hz = 0\n", []),
+        ("ser-sweep", "collision_freq_hz = -1\n", []),
+        ("ser-sweep", "sheath_thickness_m = -0.01\n", []),
+        ("ser-sweep", "sheath_thickness_m = 0\n", []),
+        ("ser-sweep", "n_e_min = 7e23\n", []),
+        ("ser-sweep", "n_e_min = nan\n", []),
+        ("ser-sweep", "n_e_max = inf\n", []),
+        ("ser-sweep", "seed = -1\n", []),
+        ("ser-sweep", "", ["--seed", "-1"]),
+        ("ser-sweep", "symbol_rate_hz = 0\n", []),
+        ("ser-sweep", "oscillation_freq_hz = 0\n", []),
+        ("ser-sweep", "oscillation_freq_hz = nan\n", []),
+        ("ser-sweep", "profile = constant\nconstant_level = 1e25\n", []),
     ], ids=["no-receivers", "no-intervals", "nan-snr", "snapshots-no-snr",
             "fading-no-snr", "duplicate-snr", "zero-interval",
             "interval-over-frame", "huge-snr", "colliding-snr",
             "negative-pretrain-steps", "zero-learning-rate",
             "zero-hidden-units", "negative-dnn-steps", "negative-init-std",
-            "bits-9", "gain-floor-1.5", "gain-floor-nan"])
+            "bits-9", "gain-floor-1.5", "gain-floor-nan", "carrier-nan",
+            "phase-nan", "carrier-zero", "negative-collision",
+            "negative-sheath", "zero-sheath", "density-min-over-max",
+            "density-min-nan", "density-max-inf", "negative-seed",
+            "negative-seed-flag", "zero-symbol-rate", "zero-oscillation",
+            "nan-oscillation", "constant-level-outside"])
     def test_bad_config_exit_two(self, tmp_path, capsys, command,
                                  config_text, flags):
         # a short base run, so a check that lets the input through fails

@@ -18,9 +18,13 @@ except ImportError:  # not on every platform
 
 from plasmalink.exceptions import NonFiniteError
 from plasmalink.link import build_constellation
+import plasmalink.net as net
 from plasmalink.net import (
+    _polar,
     adam_step,
     collect_params,
+    decode_curve,
+    encode,
     init_adam,
     init_model,
     loss_and_gradients,
@@ -131,7 +135,6 @@ class TestForward:
             assert np.all(mags < 1.0 + 1e-12)
 
     def test_curve_samples_are_rigid_copies(self):
-        from plasmalink.net import decode_curve
         model = init_model(build_constellation(2), rng_seed=33)
         lam = np.linspace(-2, 2, 9)
         curves = decode_curve(model, lam)
@@ -142,6 +145,18 @@ class TestForward:
                                        base @ model.transforms[k].T,
                                        rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("init_std", [0.1, 2.0])
+    def test_project_is_decode_of_encode(self, bits, init_std):
+        # the SMN pass and the one-curve helpers share the polar head
+        model = init_model(build_constellation(bits), rng_seed=bits,
+                           init_std=init_std)
+        y = np.random.default_rng(bits).normal(size=(64, 2))
+        for k in range(model.order):
+            curve = decode_curve(model, encode(model, k, y))[k]
+            np.testing.assert_allclose(project(model, k, y), curve,
+                                       rtol=0, atol=1e-15)
+
     def test_init_deterministic_per_seed(self):
         const = build_constellation(2)
         a = collect_params(init_model(const, rng_seed=9))
@@ -150,6 +165,18 @@ class TestForward:
             np.testing.assert_array_equal(x, z)
         c = collect_params(init_model(const, rng_seed=10))
         assert any(not np.array_equal(x, z) for x, z in zip(a, c))
+
+
+class TestPolarHead:
+    def test_matches_cos_and_sin(self):
+        # rho = 1, so the bound is absolute: 2 ulp of 1
+        theta = np.concatenate([np.linspace(-60.0, 60.0, 200001),
+                                np.arange(-38, 39) * (np.pi / 2)])
+        rho = np.ones_like(theta)
+        cart0, cart1 = np.empty_like(theta), np.empty_like(theta)
+        _polar(rho, theta.copy(), cart0, cart1)
+        assert np.max(np.abs(cart0 - np.cos(theta))) <= 4.5e-16
+        assert np.max(np.abs(cart1 - np.sin(theta))) <= 4.5e-16
 
 
 class TestLoss:
@@ -402,6 +429,19 @@ class TestWorkspaces:
         weighted_loss(model, y, w)
         for a, b in zip((y, w, model.params), before):
             np.testing.assert_array_equal(a, b)
+
+    def test_warm_calls_build_no_layer_views(self, monkeypatch):
+        model, y, w = self.cases()[0]
+        loss_and_gradients(model, y, w)
+        project_all(model, y)
+        calls = []
+        real = net.mlp_layers
+        monkeypatch.setattr(net, "mlp_layers",
+                            lambda *a: calls.append(1) or real(*a))
+        for _ in range(10):
+            loss_and_gradients(model, y, w)
+            project_all(model, y)
+        assert calls == []
 
     @pytest.mark.skipif(resource is None, reason="needs getrusage")
     def test_warm_steps_take_no_page_faults(self):
