@@ -35,6 +35,7 @@ from .em import (
     EmSchedule,
     FadingEstimate,
     FitResult,
+    GroupFit,
     demodulate,
     e_step,
     elbo,
@@ -83,6 +84,7 @@ __all__ = [
     "FadingEstimate",
     "FitResult",
     "Frame",
+    "GroupFit",
     "NonFiniteError",
     "ReceivedSequence",
     "SerStats",

@@ -99,50 +99,65 @@ class DnnTrainConfig:
 
 
 def _softmax(z):
-    """Softmax over the class axis of feature-major logits (K, n)."""
-    z = z - z.max(axis=0)
+    """Softmax over the class axis of feature-major logits (..., K, n)."""
+    z = z - z.max(axis=-2, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=0)
+    return e / e.sum(axis=-2, keepdims=True)
 
 
-def supervised_dnn(received: ReceivedSequence, frame: Frame,
-                   constellation: Constellation, rng_seed: int,
-                   config: DnnTrainConfig = DnnTrainConfig()) -> BaselineResult:
+def supervised_dnn(received, frame, constellation: Constellation, rng_seed,
+                   config: DnnTrainConfig = DnnTrainConfig()):
     """Pilot-trained softmax classifier (2 -> hidden -> hidden -> K).
 
     tanh hidden layers, cross-entropy loss, full-batch Adam over the pilot
     (sample, label) pairs only; the payload is never seen in training.
+
+    Takes one cell (a ReceivedSequence, its Frame and an int seed) and
+    returns a BaselineResult, or a group of cells with the same pilot count
+    (sequences of all three) and returns a tuple of them. A group's C
+    networks train in lockstep as one stack, each with the numbers it
+    would have alone.
     """
-    rng = role_rng(rng_seed, "dnn")
+    single = isinstance(received, ReceivedSequence)
+    cells = [received] if single else list(received)
+    frames = [frame] if single else list(frame)
+    seeds = [rng_seed] if single else list(rng_seed)
     k = constellation.order
     widths = (2, config.hidden_units, config.hidden_units, k)
-    params = config.init_std * rng.standard_normal(param_count(widths))
+    params = config.init_std * np.stack(
+        [role_rng(seed, "dnn").standard_normal(param_count(widths))
+         for seed in seeds])
 
-    # feature-major: one column per sample
-    x_train = np.ascontiguousarray(received.iq()[frame.pilot_positions].T)
-    labels = frame.symbols[frame.pilot_positions]
-    n = len(labels)
-    onehot = np.zeros((k, n))
-    onehot[labels, np.arange(n)] = 1.0
+    # feature-major: one column per sample, one stack entry per cell
+    x_train = np.stack([rx.iq()[f.pilot_positions].T
+                        for rx, f in zip(cells, frames)])
+    n = x_train.shape[-1]
+    onehot = np.zeros((len(cells), k, n))
+    for hot, f in zip(onehot, frames):
+        hot[f.symbols[f.pilot_positions], np.arange(n)] = 1.0
 
     state = init_adam(params)
     grads = np.empty_like(params)
     # layer views bound once; each Adam result is copied into params
-    layers = mlp_layers(widths, params[None])
-    grad_layers = mlp_layers(widths, grads[None])
+    layers = mlp_layers(widths, params)
+    grad_layers = mlp_layers(widths, grads)
     for _ in range(config.steps):
         logits, cache = mlp_forward(layers, x_train)
         # mean cross-entropy gradient
-        g_logits = (_softmax(logits[0]) - onehot) / n
-        mlp_backward(layers, cache, g_logits[None], grad_layers,
-                     input_grad=False)
+        g_logits = (_softmax(logits) - onehot) / n
+        mlp_backward(layers, cache, g_logits, grad_layers, input_grad=False)
         new_params, state = adam_step(params, grads, state,
                                       learning_rate=config.learning_rate)
         np.copyto(params, new_params)
 
-    logits, _ = mlp_forward(layers, np.ascontiguousarray(received.iq().T))
-    return BaselineResult(name="supervised_dnn",
-                          decisions=np.argmax(logits[0], axis=0))
+    # the frame's logits a cell at a time, which bounds the peak memory
+    results = []
+    for c, rx in enumerate(cells):
+        logits, _ = mlp_forward(mlp_layers(widths, params[c:c + 1]),
+                                np.ascontiguousarray(rx.iq().T))
+        results.append(BaselineResult(name="supervised_dnn",
+                                      decisions=np.argmax(logits[0], axis=0)))
+    return results[0] if single else tuple(results)
 
 
 def qpsk_theory_ser(es_n0_db: float) -> float:

@@ -12,6 +12,12 @@ Every output is reproducible byte-for-byte from (config, seed): cells draw
 their seeds from a documented SeedSequence key (base seed, cell role,
 SNR in millidecibels, pilot interval, trial index), so editing the SNR or
 interval grids never shifts the other cells' random streams.
+
+The cells of the SER sweep and of the fading study run in lockstep groups
+of up to GROUP_CELLS cells of one pilot interval: one em.fit and one
+supervised_dnn call train a whole group as one stack, and each cell gets
+the numbers it would get alone, so no output depends on the grouping or
+on the worker count.
 """
 
 from __future__ import annotations
@@ -57,6 +63,8 @@ __all__ = [
     "save_config",
     "build_channel",
     "cell_seed",
+    "simulate_cell",
+    "GROUP_CELLS",
     "compute_ser",
     "run_ser_sweep",
     "run_learning_snapshots",
@@ -318,22 +326,36 @@ def _archive_config(out_dir: Path, config: ExperimentConfig) -> None:
 
 
 def build_channel(config: ExperimentConfig):
-    """Channel params (calibrating z if unset) and the gain sequence."""
-    params = reference_channel_params(
-        carrier_freq=config.carrier_freq_hz,
-        collision_freq=config.collision_freq_hz,
-        density_range=(config.n_e_min, config.n_e_max),
-        sheath_thickness=config.sheath_thickness_m,
-        frequencies_are_angular=config.frequencies_are_angular,
-        standard_drude_loss=config.standard_drude_loss,
-        gain_floor=config.gain_floor)
-    traj = DensityTrajectory(profile_kind=config.profile,
-                             oscillation_freq=config.oscillation_freq_hz,
-                             phase_offset=config.phase_offset_rad,
-                             length=config.frame_length,
-                             symbol_rate=config.symbol_rate_hz,
-                             constant_level=config.constant_level)
-    gains = channel_gain(density_trajectory(traj, params), params)
+    """Channel params (calibrating z if unset) and the gain sequence.
+
+    Raises ConfigError when the channel fields, though each finite, take
+    the physics out of floating-point range (a carrier or collision
+    frequency of 1e300 Hz squares to an overflow). The studies build the
+    channel before they write any file.
+    """
+    try:
+        params = reference_channel_params(
+            carrier_freq=config.carrier_freq_hz,
+            collision_freq=config.collision_freq_hz,
+            density_range=(config.n_e_min, config.n_e_max),
+            sheath_thickness=config.sheath_thickness_m,
+            frequencies_are_angular=config.frequencies_are_angular,
+            standard_drude_loss=config.standard_drude_loss,
+            gain_floor=config.gain_floor)
+        traj = DensityTrajectory(profile_kind=config.profile,
+                                 oscillation_freq=config.oscillation_freq_hz,
+                                 phase_offset=config.phase_offset_rad,
+                                 length=config.frame_length,
+                                 symbol_rate=config.symbol_rate_hz,
+                                 constant_level=config.constant_level)
+        with np.errstate(all="ignore"):
+            gains = channel_gain(density_trajectory(traj, params), params)
+    except OverflowError:
+        raise ConfigError("channel physics overflowed: carrier_freq_hz or "
+                          "collision_freq_hz is out of range") from None
+    if not np.all(np.isfinite(gains)):
+        raise ConfigError("channel gains are not finite: the channel "
+                          "fields are out of range")
     return params, gains
 
 
@@ -365,6 +387,59 @@ def cell_seed(base_seed: int, snr_db: float, interval: int,
     seq = np.random.SeedSequence(
         [base_seed, ROLES["cell"], _snr_key(snr_db), interval, trial])
     return int(seq.generate_state(1, np.uint32)[0])
+
+
+def simulate_cell(config: ExperimentConfig, gains: np.ndarray, es: float,
+                  snr_db: float, interval: int, trial: int):
+    """One cell's seed, frame and received sequence."""
+    seed = cell_seed(config.seed, snr_db, interval, trial)
+    const = build_constellation(config.bits_per_symbol)
+    frame = build_frame(config.frame_length, interval, rng_seed=seed,
+                        order=const.order)
+    var = snr_to_noise_variance(_es_n0_db(config, snr_db), symbol_energy=es)
+    return seed, frame, transmit(frame, const, gains, var, rng_seed=seed)
+
+
+# Cells per lockstep group. Every cell of one pilot interval has the same
+# shapes, so up to this many train as one stack (em.fit, supervised_dnn).
+# Picked by timing sweep-mix and a default-grid sweep at 2, 4 and 8 (see
+# README). Frame-sized SMN passes still run a cell at a time
+# (net.PASS_COLUMNS); what grows with the group is its E-step arrays,
+# about 0.7 MiB per cell at 4096 frame rows.
+GROUP_CELLS = 4
+
+
+def _cell_groups(cells):
+    """Lockstep groups of (snr, interval, trial) cells: job order, bucketed
+    by pilot interval, at most GROUP_CELLS each. A cell's group depends on
+    the job list alone, never on the worker count."""
+    buckets = {}
+    for cell in cells:
+        buckets.setdefault(cell[1], []).append(cell)
+    return [bucket[i:i + GROUP_CELLS] for bucket in buckets.values()
+            for i in range(0, len(bucket), GROUP_CELLS)]
+
+
+def _group_worker(job):
+    run, *args = job
+    return run(*args)
+
+
+def _map_cells(config: ExperimentConfig, gains: np.ndarray, es: float,
+               run, cells) -> dict:
+    """run(config, gains, es, group) -> one output per cell, for every
+    lockstep group of the cells; returns cell -> output. The groups go
+    through a process pool when there are several and workers > 1."""
+    groups = _cell_groups(cells)
+    jobs = [(run, config, gains, es, group) for group in groups]
+    workers = min(config.workers, len(groups))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outputs = list(pool.map(_group_worker, jobs))
+    else:
+        outputs = [_group_worker(job) for job in jobs]
+    return {cell: out for group, outs in zip(groups, outputs)
+            for cell, out in zip(group, outs)}
 
 
 @dataclass(frozen=True)
@@ -425,42 +500,52 @@ def save_weights_csv(path, weights: np.ndarray) -> None:
 # study 1: SER sweep
 
 
-def _run_cell(config: ExperimentConfig, gains: np.ndarray, es: float,
-              snr_db: float, interval: int, trial: int) -> dict:
-    """All receivers on one simulated frame; returns receiver -> SerStats."""
-    seed = cell_seed(config.seed, snr_db, interval, trial)
+# what a cell that cannot be fitted raises; it is recorded as the cell's
+# status and the sweep goes on. Any other exception is a bug (or a broken
+# invariant, such as the ELBO dropping across an E-step) and aborts.
+_CELL_ERRORS = (ConfigError, NonFiniteError, FloatingPointError)
+
+
+def _decisions(config: ExperimentConfig, receiver: str, seeds, frames,
+               received) -> list:
+    """One receiver's decisions on every cell of a group, the SMN and the
+    DNN each in one lockstep call. A group that fails is re-run one cell
+    at a time, so a failure marks only its own cell, with a status string
+    in place of its decisions."""
     const = build_constellation(config.bits_per_symbol)
-    frame = build_frame(config.frame_length, interval, rng_seed=seed,
-                        order=const.order)
-    var = snr_to_noise_variance(_es_n0_db(config, snr_db), symbol_energy=es)
-    rx = transmit(frame, const, gains, var, rng_seed=seed)
+    try:
+        if receiver == "smn":
+            return [demodulate(r.weights) for r in fit(
+                received, frames, const, config.schedule(), rng_seed=seeds,
+                hidden_units=config.hidden_units, init_std=config.init_std)]
+        if receiver == "supervised_dnn":
+            return [r.decisions for r in supervised_dnn(
+                received, frames, const, rng_seed=seeds,
+                config=config.dnn_config())]
+        if receiver == "genie_ml":
+            return [genie_ml(rx, const).decisions for rx in received]
+        return [pilot_interp_ml(rx, frame, const).decisions
+                for rx, frame in zip(received, frames)]
+    except _CELL_ERRORS as exc:
+        if len(seeds) == 1:
+            return [f"failed: {type(exc).__name__}: {exc}"]
+        return [_decisions(config, receiver, (seed,), (frame,), (rx,))[0]
+                for seed, frame, rx in zip(seeds, frames, received)]
 
-    out = {}
+
+def _run_group(config: ExperimentConfig, gains: np.ndarray, es: float,
+               group) -> list:
+    """All receivers on the cells of one group; per cell, receiver ->
+    SerStats or failure status."""
+    seeds, frames, received = zip(*(simulate_cell(config, gains, es, *cell)
+                                    for cell in group))
+    out = [{} for _ in group]
     for receiver in config.receivers:
-        try:
-            if receiver == "smn":
-                result = fit(rx, frame, const, config.schedule(),
-                             rng_seed=seed, hidden_units=config.hidden_units,
-                             init_std=config.init_std)
-                decisions = demodulate(result.weights)
-            elif receiver == "genie_ml":
-                decisions = genie_ml(rx, const).decisions
-            elif receiver == "pilot_interp_ml":
-                decisions = pilot_interp_ml(rx, frame, const).decisions
-            else:
-                decisions = supervised_dnn(rx, frame, const, rng_seed=seed,
-                                           config=config.dnn_config()).decisions
-            out[receiver] = compute_ser(decisions, frame.symbols,
-                                        frame.payload_positions)
-        except (ConfigError, NonFiniteError, FloatingPointError) as exc:
-            # a cell that cannot be fitted: record it, keep sweeping; any
-            # other exception is a bug (or a broken invariant) and aborts
-            out[receiver] = f"failed: {type(exc).__name__}: {exc}"
+        decided = _decisions(config, receiver, seeds, frames, received)
+        for cell, frame, decisions in zip(out, frames, decided):
+            cell[receiver] = decisions if isinstance(decisions, str) else \
+                compute_ser(decisions, frame.symbols, frame.payload_positions)
     return out
-
-
-def _cell_worker(args):
-    return args[3:], _run_cell(*args)
 
 
 def run_ser_sweep(config: ExperimentConfig):
@@ -471,20 +556,16 @@ def run_ser_sweep(config: ExperimentConfig):
     row's counts (ser is NaN if no trial ran) and named in `status`; any
     other exception aborts the sweep.
     """
-    out_dir = config.resolve_out_dir()
-    _archive_config(out_dir, config)
     _, gains = build_channel(config)
     es = _symbol_energy(config, gains)
+    out_dir = config.resolve_out_dir()
+    _archive_config(out_dir, config)
 
-    jobs = [(config, gains, es, snr, interval, trial)
-            for snr in config.snr_db
-            for interval in config.pilot_intervals
-            for trial in range(config.trials)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = dict(pool.map(_cell_worker, jobs))
-    else:
-        results = dict(_cell_worker(j) for j in jobs)
+    cells = [(snr, interval, trial)
+             for snr in config.snr_db
+             for interval in config.pilot_intervals
+             for trial in range(config.trials)]
+    results = _map_cells(config, gains, es, _run_group, cells)
 
     records = []
     for snr in config.snr_db:
@@ -542,19 +623,13 @@ def run_learning_snapshots(config: ExperimentConfig, grid_size: int = 201):
     snapshot_manifest.csv, snapshot_curves.csv, decisions.csv, trace.csv
     and the archived config.
     """
-    out_dir = config.resolve_out_dir()
-    _archive_config(out_dir, config)
     _, gains = build_channel(config)
     es = _symbol_energy(config, gains)
-    snr = config.snr_db[0]
-    interval = config.pilot_intervals[0]
-    seed = cell_seed(config.seed, snr, interval, 0)
-
+    out_dir = config.resolve_out_dir()
+    _archive_config(out_dir, config)
+    seed, frame, rx = simulate_cell(config, gains, es, config.snr_db[0],
+                                    config.pilot_intervals[0], 0)
     const = build_constellation(config.bits_per_symbol)
-    frame = build_frame(config.frame_length, interval, rng_seed=seed,
-                        order=const.order)
-    var = snr_to_noise_variance(_es_n0_db(config, snr), symbol_energy=es)
-    rx = transmit(frame, const, gains, var, rng_seed=seed)
     save_sequence_csv(out_dir / "received.csv", frame, rx)
 
     schedule = config.schedule()
@@ -609,45 +684,52 @@ def run_learning_snapshots(config: ExperimentConfig, grid_size: int = 201):
 # study 3: fading estimation
 
 
+def _fading_group(config: ExperimentConfig, gains: np.ndarray, es: float,
+                  group) -> list:
+    """One lockstep fit of a group's cells; per cell, the true gains and
+    the per-sample gain estimates."""
+    const = build_constellation(config.bits_per_symbol)
+    seeds, frames, received = zip(*(simulate_cell(config, gains, es, *cell)
+                                    for cell in group))
+    fits = fit(received, frames, const, config.schedule(), rng_seed=seeds,
+               hidden_units=config.hidden_units, init_std=config.init_std)
+    return [(rx.true_gains, extract_fading_curve(
+                result.model, rx, result.weights, const,
+                frame=frame).estimates)
+            for result, frame, rx in zip(fits, frames, received)]
+
+
 def run_fading_estimation(config: ExperimentConfig):
     """Per-sample gain estimates and RMSE for every configured SNR.
 
     Uses the first pilot interval; writes fading.csv (per-sample traces)
-    and fading_summary.csv (per-SNR RMSE) plus the archived config.
+    and fading_summary.csv (per-SNR RMSE) plus the archived config. The
+    SNR cells run in lockstep groups, through the pool as the sweep's do.
     """
-    out_dir = config.resolve_out_dir()
-    _archive_config(out_dir, config)
     _, gains = build_channel(config)
     es = _symbol_energy(config, gains)
-    const = build_constellation(config.bits_per_symbol)
+    out_dir = config.resolve_out_dir()
+    _archive_config(out_dir, config)
     interval = config.pilot_intervals[0]
+    cells = [(snr, interval, 0) for snr in config.snr_db]
+    results = _map_cells(config, gains, es, _fading_group, cells)
 
     sample_rows = []
     summary_rows = []
     summaries = []
-    for snr in config.snr_db:
-        seed = cell_seed(config.seed, snr, interval, 0)
-        frame = build_frame(config.frame_length, interval, rng_seed=seed,
-                            order=const.order)
-        var = snr_to_noise_variance(_es_n0_db(config, snr),
-                                    symbol_energy=es)
-        rx = transmit(frame, const, gains, var, rng_seed=seed)
-        result = fit(rx, frame, const, config.schedule(), rng_seed=seed,
-                     hidden_units=config.hidden_units,
-                     init_std=config.init_std)
-        estimate = extract_fading_curve(result.model, rx, result.weights,
-                                        const, frame=frame)
-        err = estimate.estimates - rx.true_gains
+    for cell in cells:
+        snr = cell[0]
+        true_gains, estimates = results[cell]
+        err = estimates - true_gains
         rmse = float(np.sqrt(np.mean(np.abs(err) ** 2)))
         summaries.append({"snr_db": snr, "rmse": rmse,
-                          "samples": len(rx)})
-        summary_rows.append([_fmt(snr), _fmt(rmse), len(rx)])
-        for i in range(len(rx)):
+                          "samples": len(true_gains)})
+        summary_rows.append([_fmt(snr), _fmt(rmse), len(true_gains)])
+        for i in range(len(true_gains)):
             sample_rows.append([
                 _fmt(snr), i,
-                _fmt(rx.true_gains[i].real), _fmt(rx.true_gains[i].imag),
-                _fmt(estimate.estimates[i].real),
-                _fmt(estimate.estimates[i].imag),
+                _fmt(true_gains[i].real), _fmt(true_gains[i].imag),
+                _fmt(estimates[i].real), _fmt(estimates[i].imag),
                 _fmt(abs(err[i]))])
 
     _write_csv(out_dir / "fading.csv", "fading v1",

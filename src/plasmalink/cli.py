@@ -121,6 +121,8 @@ def _cmd_fading(args) -> int:
 def _cmd_validate_physics(args) -> int:
     """Dispersion self-consistency: the split coefficients must rebuild
     the complex propagation constant (omega/c) sqrt(eps_r)."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     params = reference_channel_params()
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     lo, hi = params.density_range

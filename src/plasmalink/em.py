@@ -18,6 +18,10 @@ The evidence lower bound
 must never decrease across an E-step (the E-step zeroes the KL gap), which
 fit() checks on every iteration; a violation means the posterior or the
 likelihood is wrong and raises immediately.
+
+fit() trains one cell or a lockstep group of cells that share every shape
+(frame length, pilots, K, widths, schedule): one run over C cells at once,
+in which every cell gets exactly the numbers it would get alone.
 """
 
 from __future__ import annotations
@@ -30,7 +34,10 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .link import Constellation, Frame, ReceivedSequence
-from .net import (
+# collect_params and with_params are no longer called here; they stay
+# importable from this module because the benchmark's tracer
+# (perfbench/spans.py) patches them as attributes of it.
+from .net import (  # noqa: F401
     SmnModel,
     adam_step,
     collect_params,
@@ -50,6 +57,7 @@ __all__ = [
     "EmSchedule",
     "TraceRecord",
     "FitResult",
+    "GroupFit",
     "FadingEstimate",
     "pilot_weights",
     "pretrain",
@@ -110,6 +118,28 @@ class FitResult:
     trace: tuple                   # TraceRecord per phase
 
 
+_SUMMED = ("elbo_before_e", "elbo_after_e", "loss_before_m", "loss_after_m",
+           "noise_variance")
+
+
+class GroupFit(tuple):
+    """The FitResult of every cell of a lockstep group, in cell order.
+
+    The group is one EM run of the product of its cells' models, whose
+    bound is the sum of theirs. trace is that run's trace: per phase, each
+    field summed over the cells. It lets a group stand where one fit's
+    bound is read (the benchmark's tracer reads em.fit results so).
+    """
+
+    @property
+    def trace(self) -> tuple:
+        return tuple(
+            TraceRecord(phase=recs[0].phase, iteration=recs[0].iteration,
+                        **{name: math.fsum(getattr(r, name) for r in recs)
+                           for name in _SUMMED})
+            for recs in zip(*(cell.trace for cell in self)))
+
+
 @dataclass(frozen=True)
 class FadingEstimate:
     """Learned curves on a coordinate grid plus per-sample gain estimates."""
@@ -128,80 +158,187 @@ def pilot_weights(frame: Frame, order: int) -> np.ndarray:
     return w
 
 
+# ---------------------------------------------------------------------------
+# groups: C cells of one shape, trained in lockstep. The model of a group
+# holds (C, P) parameters and C noise variances; batches are rows-first,
+# (m, C, ...), and the per-cell arrays of the E-step cell-major, (C, m, K),
+# so that every sum over one cell runs over contiguous memory in the order
+# it runs for a lone cell, and a cell's numbers do not depend on its group.
+
+
+def _cells(received, frame):
+    """Lists of the received sequences and frames of one cell or of a
+    group, and whether it was one cell."""
+    if isinstance(received, ReceivedSequence):
+        return [received], [frame], True
+    return list(received), list(frame), False
+
+
+def _shared_pilots(frames):
+    """Pilot positions and labels, which the cells of a group share."""
+    positions = frames[0].pilot_positions
+    labels = frames[0].symbols[positions]
+    for frame in frames[1:]:
+        if (len(frame) != len(frames[0])
+                or not np.array_equal(frame.pilot_positions, positions)
+                or not np.array_equal(frame.symbols[positions], labels)):
+            raise ValueError("the cells of a group must share frame length, "
+                             "pilot positions and pilot labels")
+    return positions, labels
+
+
+def _iq(received) -> np.ndarray:
+    """Rows-first IQ of the cells, (m, C, 2)."""
+    return np.stack([rx.iq() for rx in received], axis=1)
+
+
+def _pilot_batch(y: np.ndarray, frames, order: int):
+    """The pilot rows of a group's IQ y, (n, C, 2), and their one-hot
+    weights, (n, C, K)."""
+    positions = frames[0].pilot_positions
+    w = pilot_weights(frames[0], order)[:, None]
+    return y[positions], np.broadcast_to(w, (len(positions), y.shape[1],
+                                             order))
+
+
+def _group_model(model: SmnModel) -> SmnModel:
+    """A private group form of a model: (C, P) parameters, C noise
+    variances; one cell's model becomes a group of one."""
+    params = model.params
+    return replace(model, params=params.reshape(-1, params.shape[-1]).copy(),
+                   noise_variance=np.reshape(model.noise_variance,
+                                             -1).astype(float))
+
+
+def _cell_model(model: SmnModel, cell: int) -> SmnModel:
+    """One cell's model out of a group's."""
+    return replace(model, params=model.params[cell].copy(),
+                   noise_variance=float(model.noise_variance[cell]))
+
+
 def _train(model: SmnModel, y: np.ndarray, w: np.ndarray, steps: int,
            learning_rate: float, step_hook=None) -> SmnModel:
-    """Fresh-Adam full-batch run on the weighted projection error."""
-    params = collect_params(model)
+    """Fresh-Adam full-batch run on the weighted projection error of a
+    group; the parameters of the (private) model are updated in place."""
+    params = model.params
     state = init_adam(params)
     for step in range(steps):
         _, grads = loss_and_gradients(model, y, w)
-        params, state = adam_step(params, grads, state,
-                                  learning_rate=learning_rate)
-        model = with_params(model, params)
+        new_params, state = adam_step(params, grads, state,
+                                      learning_rate=learning_rate)
+        np.copyto(params, new_params)
         if step_hook is not None:
-            step_hook(step + 1, model)
+            step_hook(step + 1, replace(model, params=params.copy()))
     return model
 
 
-def pretrain(model: SmnModel, received: ReceivedSequence, frame: Frame,
-             schedule: EmSchedule, step_hook=None) -> SmnModel:
+def pretrain(model: SmnModel, received, frame, schedule: EmSchedule,
+             step_hook=None) -> SmnModel:
     """Fit the curves to the pilot samples alone, labels known.
 
-    Every constellation symbol needs at least one pilot, otherwise its
-    curve (and encoder) is unidentifiable.
+    Takes one cell (a model, a ReceivedSequence and its Frame) or a group
+    (a group model and sequences of received sequences and frames), and
+    returns the trained model in the same form. Every constellation symbol
+    needs at least one pilot, otherwise its curve (and encoder) is
+    unidentifiable.
     """
-    labels = frame.symbols[frame.pilot_positions]
+    received, frames, single = _cells(received, frame)
+    _, labels = _shared_pilots(frames)
     missing = sorted(set(range(model.order)) - set(labels.tolist()))
     if missing:
         raise ConfigError(f"symbols {missing} have no pilots; "
                           "their curves are unidentifiable")
-    y = received.iq()[frame.pilot_positions]
-    w = pilot_weights(frame, model.order)
-    return _train(model, y, w, schedule.pretrain_steps,
-                  schedule.learning_rate, step_hook)
+    group = _group_model(model)
+    y, w = _pilot_batch(_iq(received), frames, model.order)
+    hook = step_hook
+    if single and step_hook is not None:
+        def hook(step, m):
+            step_hook(step, _cell_model(m, 0))
+    group = _train(group, y, w, schedule.pretrain_steps,
+                   schedule.learning_rate, hook)
+    return _cell_model(group, 0) if single else group
 
 
 def _distances(model: SmnModel, y: np.ndarray) -> np.ndarray:
-    """Squared projection distances d_ik^2 = ||y_i - proj_k(y_i)||^2, (m, K).
+    """Squared projection distances d_ik^2 = ||y_i - proj_k(y_i)||^2 of a
+    group's rows (m, C, 2), cell-major (C, m, K).
 
     They depend on the curves only, so one matrix serves every posterior,
     bound and loss of a model state.
     """
-    proj = project_all(model, y)
-    return np.sum((y[:, None, :] - proj) ** 2, axis=2)
+    diff = project_all(model, y).transpose(1, 0, 2, 3)
+    diff -= y.transpose(1, 0, 2)[:, :, None]
+    np.square(diff, out=diff)
+    return np.add(diff[..., 0], diff[..., 1],
+                  out=np.empty(diff.shape[:3]))
 
 
-def _posterior(model: SmnModel, d2: np.ndarray,
-               frame: Frame | None) -> np.ndarray:
-    """E-step posterior from the distance matrix (see e_step)."""
-    var = model.noise_variance
-    if var < NOISE_VARIANCE_FLOOR:
-        logger.warning("noise variance %.3g below floor, clamped to %.1g",
-                       var, NOISE_VARIANCE_FLOOR)
-        var = NOISE_VARIANCE_FLOOR
-    logits = -d2 / var
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    w /= w.sum(axis=1, keepdims=True)
-    if frame is not None:
-        labels = frame.symbols[frame.pilot_positions]
-        w[frame.pilot_positions] = 0.0
-        w[frame.pilot_positions, labels] = 1.0
+def _clamped(variances, message: str):
+    """Noise variances raised to the floor, each raise logged."""
+    for var in variances[variances < NOISE_VARIANCE_FLOOR]:
+        logger.warning(message, var, NOISE_VARIANCE_FLOOR)
+    return np.maximum(variances, NOISE_VARIANCE_FLOOR)
+
+
+def _posterior(model: SmnModel, d2: np.ndarray, pilots) -> np.ndarray:
+    """E-step posterior from the distance matrix (see e_step), (C, m, K);
+    pilots is None or the (positions, labels) to clamp one-hot."""
+    var = _clamped(model.noise_variance,
+                   "noise variance %.3g below floor, clamped to %.1g")
+    # one (C, m, K) buffer: -d2 / var, less its row maximum, exponentiated
+    w = np.divide(d2, var[:, None, None])
+    np.negative(w, out=w)
+    w -= w.max(axis=2, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=2, keepdims=True)
+    if pilots is not None:
+        positions, labels = pilots
+        w[:, positions] = 0.0
+        w[:, positions, labels] = 1.0
     return w
 
 
-def _bound(model: SmnModel, d2: np.ndarray, w: np.ndarray) -> float:
-    """Evidence lower bound from the distance matrix (see elbo)."""
-    var = model.noise_variance
-    log_lik = -np.log(np.pi * var) - d2 / var
-    prior = np.log(1.0 / model.order)
-    entropy = np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0)
-    return float(np.sum(w * (log_lik + prior)) - np.sum(entropy))
+def _cell_sums(x: np.ndarray) -> np.ndarray:
+    """Per cell, the sum of a cell-major (C, m, K) array."""
+    return np.sum(x.reshape(len(x), -1), axis=1)
 
 
-def _weighted_mean(d2: np.ndarray, w: np.ndarray) -> float:
-    """(1/m) sum_i sum_k w_ik d_ik^2, the M-step objective."""
-    return float(np.mean(np.sum(w * d2, axis=1)))
+def _bound(model: SmnModel, d2: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Evidence lower bound per cell from the distance matrix (see elbo)."""
+    var = model.noise_variance[:, None, None]
+    # one (C, m, K) buffer: w (log-likelihood + log prior), then the
+    # entropy terms w ln w, with 0 ln 0 taken as 0
+    t = np.divide(d2, var)
+    np.subtract(-np.log(np.pi * var), t, out=t)
+    t += np.log(1.0 / model.order)
+    t *= w
+    joint = _cell_sums(t)
+    zero = ~(w > 0)
+    np.copyto(t, w)
+    t[zero] = 1.0
+    np.log(t, out=t)
+    t *= w
+    t[zero] = 0.0
+    return joint - _cell_sums(t)
+
+
+def _weighted_mean(d2: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(1/m) sum_i sum_k w_ik d_ik^2 per cell, the M-step objective."""
+    return np.mean(np.sum(w * d2, axis=2), axis=1)
+
+
+def _m_step(model: SmnModel, y: np.ndarray, w: np.ndarray,
+            schedule: EmSchedule):
+    """m_step on a group's rows; also returns the new model's distance
+    matrix."""
+    model = _train(replace(model, params=model.params.copy()), y,
+                   w.transpose(1, 0, 2), schedule.mstep_steps,
+                   schedule.learning_rate)
+    d2 = _distances(model, y)
+    resid = _weighted_mean(d2, w)
+    model = replace(model, noise_variance=_clamped(
+        resid, "noise variance estimate %.3g clamped to %.1g"))
+    return model, resid, d2
 
 
 def e_step(model: SmnModel, received: ReceivedSequence,
@@ -212,20 +349,9 @@ def e_step(model: SmnModel, received: ReceivedSequence,
     with max subtraction. When a frame is given, pilot rows are overridden
     with exact one-hot labels.
     """
-    return _posterior(model, _distances(model, received.iq()), frame)
-
-
-def _m_step(model: SmnModel, y: np.ndarray, w: np.ndarray,
-            schedule: EmSchedule):
-    """m_step on IQ rows; also returns the new model's distance matrix."""
-    model = _train(model, y, w, schedule.mstep_steps, schedule.learning_rate)
-    d2 = _distances(model, y)
-    resid = _weighted_mean(d2, w)
-    if resid < NOISE_VARIANCE_FLOOR:
-        logger.warning("noise variance estimate %.3g clamped to %.1g",
-                       resid, NOISE_VARIANCE_FLOOR)
-    model = replace(model, noise_variance=max(resid, NOISE_VARIANCE_FLOOR))
-    return model, resid, d2
+    model = _group_model(model)
+    pilots = None if frame is None else _shared_pilots([frame])
+    return _posterior(model, _distances(model, _iq([received])), pilots)[0]
 
 
 def m_step(model: SmnModel, received: ReceivedSequence, w: np.ndarray,
@@ -237,8 +363,9 @@ def m_step(model: SmnModel, received: ReceivedSequence, w: np.ndarray,
     exact maximizer of the lower bound for a Gaussian of total variance
     sigma_n^2 (clamped at the floor). Returns (model, loss_after).
     """
-    model, resid, _ = _m_step(model, received.iq(), w, schedule)
-    return model, resid
+    model, resid, _ = _m_step(_group_model(model), _iq([received]),
+                              np.asarray(w, dtype=float)[None], schedule)
+    return _cell_model(model, 0), float(resid[0])
 
 
 def elbo(model: SmnModel, received: ReceivedSequence, w: np.ndarray) -> float:
@@ -248,60 +375,88 @@ def elbo(model: SmnModel, received: ReceivedSequence, w: np.ndarray) -> float:
     noise-variance updates move the bound honestly; entropy terms treat
     0 * ln 0 as 0.
     """
-    return _bound(model, _distances(model, received.iq()), w)
+    model = _group_model(model)
+    d2 = _distances(model, _iq([received]))
+    return float(_bound(model, d2, np.asarray(w, dtype=float)[None])[0])
 
 
-def fit(received: ReceivedSequence, frame: Frame,
-        constellation: Constellation, schedule: EmSchedule = EmSchedule(),
-        rng_seed: int = 0, hidden_units: int = 4, init_std: float = 0.1,
+def fit(received, frame, constellation: Constellation,
+        schedule: EmSchedule = EmSchedule(), rng_seed=0,
+        hidden_units: int = 4, init_std: float = 0.1,
         model: SmnModel | None = None, pretrain_hook=None,
-        em_hook=None) -> FitResult:
+        em_hook=None):
     """Full training run: pilot pretraining, then EM over the whole frame.
+
+    Takes one cell (a ReceivedSequence, its Frame and an int seed) and
+    returns a FitResult, or a group of cells that share frame length and
+    pilots (sequences of received sequences, frames and seeds) and returns
+    a GroupFit. A group trains in lockstep: its C x K encoders run as one
+    stack and its C decoders as another, and each cell's numbers are those
+    of fitting it alone. A given model is in the same form (for a group,
+    (C, P) parameters), and so are the models the hooks see; em_hook also
+    gets the posterior, (m, K) or for a group cell-major (C, m, K).
 
     The initial noise variance is the pilot residual after pretraining (the
     only data-driven estimate available before the first E-step). The frame
     is projected once per curve state: every posterior, bound and loss of
     that state shares one distance matrix. Raises RuntimeError if the lower
-    bound ever drops across an E-step beyond a 1e-9 tolerance; that
-    invariant holds analytically, so a violation is a bug, not a tuning
-    issue.
+    bound of any cell ever drops across an E-step beyond a 1e-9 tolerance;
+    that invariant holds analytically, so a violation is a bug, not a
+    tuning issue.
     """
+    cells, frames, single = _cells(received, frame)
+    pilots = _shared_pilots(frames)
     if model is None:
-        model = init_model(constellation, rng_seed, hidden_units, init_std)
-    model = pretrain(model, received, frame, schedule, step_hook=pretrain_hook)
+        models = [init_model(constellation, seed, hidden_units, init_std)
+                  for seed in ([rng_seed] if single else rng_seed)]
+        model = models[0] if single else replace(
+            models[0], params=np.stack([m.params for m in models]),
+            noise_variance=np.ones(len(models)))
+    model = _group_model(pretrain(model, received, frame, schedule,
+                                  step_hook=pretrain_hook))
 
-    pilot_resid = weighted_loss(model, received.iq()[frame.pilot_positions],
-                                pilot_weights(frame, model.order))
-    model = replace(model, noise_variance=max(pilot_resid,
-                                              NOISE_VARIANCE_FLOOR))
+    y = _iq(cells)
+    pilot_resid = weighted_loss(model, *_pilot_batch(y, frames, model.order))
+    model = replace(model, noise_variance=np.maximum(pilot_resid,
+                                                     NOISE_VARIANCE_FLOOR))
 
-    y = received.iq()
+    traces = [[] for _ in cells]
+
+    def record(phase, iteration, *values):
+        """Append each cell's TraceRecord; values are per-cell arrays."""
+        for c, trace in enumerate(traces):
+            trace.append(TraceRecord(phase, iteration,
+                                     *(float(v[c]) for v in values)))
+
     d2 = _distances(model, y)
-    w = _posterior(model, d2, frame)
+    w = _posterior(model, d2, pilots)
     start = _bound(model, d2, w)
-    records = [TraceRecord(phase="pretrain", iteration=0,
-                           elbo_before_e=start, elbo_after_e=start,
-                           loss_before_m=pilot_resid, loss_after_m=pilot_resid,
-                           noise_variance=model.noise_variance)]
-
+    record("pretrain", 0, start, start, pilot_resid, pilot_resid,
+           model.noise_variance)
     for it in range(1, schedule.em_iterations + 1):
         before = _bound(model, d2, w)
-        w = _posterior(model, d2, frame)
+        w = _posterior(model, d2, pilots)
         after = _bound(model, d2, w)
-        if after < before - 1e-9:
+        dropped = np.flatnonzero(after < before - 1e-9)
+        if len(dropped):
+            c = dropped[0]
             raise RuntimeError(
                 f"lower bound decreased across E-step {it}: "
-                f"{before:.12g} -> {after:.12g}")
+                f"{before[c]:.12g} -> {after[c]:.12g}"
+                + ("" if single else f" (cell {c} of the group)"))
         loss_before = _weighted_mean(d2, w)
         model, loss_after, d2 = _m_step(model, y, w, schedule)
-        records.append(TraceRecord(
-            phase="em", iteration=it, elbo_before_e=before,
-            elbo_after_e=after, loss_before_m=loss_before,
-            loss_after_m=loss_after, noise_variance=model.noise_variance))
-        if em_hook is not None:
+        record("em", it, before, after, loss_before, loss_after,
+               model.noise_variance)
+        if em_hook is not None and single:
+            em_hook(it, _cell_model(model, 0), w[0])
+        elif em_hook is not None:
             em_hook(it, model, w)
 
-    return FitResult(model=model, weights=w, trace=tuple(records))
+    fits = GroupFit(FitResult(model=_cell_model(model, c),
+                              weights=w[c].copy(), trace=tuple(trace))
+                    for c, trace in enumerate(traces))
+    return fits[0] if single else fits
 
 
 def demodulate(w: np.ndarray) -> np.ndarray:

@@ -41,8 +41,17 @@ view (mlp_layers), and batches are feature-major, (S, features, rows). The
 K encoder blocks are contiguous, so all K encoders run as one stack, and
 their K coordinate rows, side by side, take one pass of the shared decoder.
 
+A lockstep group of C cells of one shape holds its parameters as (C, P)
+rows, one flat vector per cell, and takes rows-first batches, (m, C, 2).
+Its C x K encoders run as one stack and its C decoders as a stack over
+K x m coordinates each; no number of one cell depends on the others, so
+each cell gets exactly what it gets alone (one cell's (P,) vector is the
+group of one). A pass holds at most PASS_COLUMNS cells x curves x rows,
+so a group's pilot batches share one pass and its frame batches take a
+pass per cell or few.
+
 The SMN passes write every temporary into preallocated buffers, one set
-per (K, widths, rows) shape, kept in a small per-thread cache, so a
+per (cells, K, widths, rows) shape, kept in a small per-thread cache, so a
 training step reuses the same memory instead of paging in fresh arrays.
 Each set also owns a parameter buffer laid out like the parameters of its
 stack, with the layer views of it and of its gradient built once; a pass
@@ -53,7 +62,6 @@ public function returns is always a fresh array.
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 from itertools import zip_longest
@@ -97,11 +105,12 @@ def param_count(widths) -> int:
 class SmnModel:
     """K encoders (IQ -> curve coordinate), one shared polar decoder."""
 
-    params: np.ndarray      # flat, every encoder by symbol, then the decoder
+    params: np.ndarray      # every encoder by symbol, then the decoder:
+                            # (P,) for one cell, (C, P) for a group
     encoder_widths: tuple   # (2, hidden, 1)
     decoder_widths: tuple   # (1, hidden, 2)
     transforms: np.ndarray  # (K, 2, 2), fixed, never trained
-    noise_variance: float
+    noise_variance: float   # an array of C for a group
 
     @property
     def order(self) -> int:
@@ -144,38 +153,41 @@ def init_model(constellation: Constellation, rng_seed: int,
 
 
 def mlp_layers(widths, blocks):
-    """(weights, bias) views of every layer of stacked flat blocks (S, P):
-    weights (S, fan_out, fan_in), bias (S, fan_out, 1)."""
+    """(weights, bias) views of every layer of stacked flat blocks
+    (..., P): weights (..., fan_out, fan_in), bias (..., fan_out, 1)."""
     layers, pos = [], 0
-    stack = blocks.shape[0]
+    lead = blocks.shape[:-1]
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         end = pos + fan_out * fan_in
         # copy=False raises rather than copy: gradients are written here
-        layers.append((blocks[:, pos:end].reshape(stack, fan_out, fan_in,
-                                                  copy=False),
-                       blocks[:, end:end + fan_out, None]))
+        layers.append((blocks[..., pos:end].reshape(*lead, fan_out, fan_in,
+                                                    copy=False),
+                       blocks[..., end:end + fan_out, None]))
         pos = end + fan_out
     return layers
 
 
 def mlp_forward(layers, x: np.ndarray, acts=None):
-    """S fully connected stacks at once; tanh after every layer except the
-    last.
+    """A stack of fully connected networks at once; tanh after every layer
+    except the last.
 
-    layers are the mlp_layers views of the S stacks' parameters and x the
-    feature-major input, (S, fan_in, n), or (fan_in, n) shared by all S.
-    Layer outputs are written into acts, one (S, fan_out, n) buffer per
-    layer, when given, else into fresh arrays. Returns (output, cache);
-    output is (S, fan_out, n) and cache holds x and every layer's output.
+    layers are the mlp_layers views of the stack's parameters, with any
+    leading stack dimensions, and x the feature-major input,
+    (..., fan_in, n), broadcast against the stack. Layer outputs are
+    written into acts, one (..., fan_out, n) buffer per layer, when given,
+    else into fresh arrays. Returns (output, cache); output is
+    (..., fan_out, n) and cache holds x and every layer's output.
     """
     if acts is None:
-        acts = [np.empty((weights.shape[0], weights.shape[1], x.shape[-1]))
+        acts = [np.empty(np.broadcast_shapes(weights.shape[:-2],
+                                             x.shape[:-2])
+                         + (weights.shape[-2], x.shape[-1]))
                 for weights, _ in layers]
     a, cache = x, [x]
     last = len(layers) - 1
     for idx, ((weights, bias), z) in enumerate(zip(layers, acts)):
         # a fan-in-1 layer is an outer product: broadcast, not matmul
-        if weights.shape[2] == 1:
+        if weights.shape[-1] == 1:
             np.multiply(weights, a, out=z)
         else:
             np.matmul(weights, a, out=z)
@@ -188,13 +200,13 @@ def mlp_forward(layers, x: np.ndarray, acts=None):
 
 
 def mlp_backward(layers, cache, g_out, grads, g_ins=None, input_grad=True):
-    """Backprop dL/d(output), shape (S, fan_out, n), through the stacks.
+    """Backprop dL/d(output), shape (..., fan_out, n), through the stack.
 
     Writes dL/dW and dL/db into grads, the mlp_layers views of a gradient
     laid out like the parameters, and returns dL/d(input), shape
-    (S, fan_in, n), or None without input_grad, which skips the first
+    (..., fan_in, n), or None without input_grad, which skips the first
     layer's input gradient. g_ins, when given, holds per layer the
-    (S, fan_in, n) buffer its input gradient goes to. The tanh derivative
+    (..., fan_in, n) buffer its input gradient goes to. The tanh derivative
     1 - a^2 is formed in place of the cached hidden activations, so the
     cache is spent afterwards.
     """
@@ -203,13 +215,13 @@ def mlp_backward(layers, cache, g_out, grads, g_ins=None, input_grad=True):
         a = cache[idx]
         g_weights, g_bias = grads[idx]
         np.matmul(g, a.mT, out=g_weights)
-        np.add.reduce(g, axis=2, keepdims=True, out=g_bias)
+        np.add.reduce(g, axis=-1, keepdims=True, out=g_bias)
         if idx == 0 and not input_grad:
             return None
         weights = layers[idx][0]
-        g_in = (np.empty((g.shape[0], weights.shape[2], g.shape[2]))
+        g_in = (np.empty(g.shape[:-2] + (weights.shape[-1], g.shape[-1]))
                 if g_ins is None else g_ins[idx])
-        if weights.shape[1] == 1:
+        if weights.shape[-2] == 1:
             np.multiply(weights.mT, g, out=g_in)
         else:
             np.matmul(weights.mT, g, out=g_in)
@@ -250,62 +262,77 @@ def _polar(rho, angle, out0, out1):
 
 
 class _Workspace:
-    """Every buffer an SMN pass over S curves and m rows writes into."""
+    """Every buffer an SMN pass over C cells, S curves each, and m rows
+    writes into."""
 
-    def __init__(self, stack, encoder_widths, decoder_widths, rows):
-        s, m, n = stack, rows, stack * rows
-        # the S encoders, then the decoder, laid out like SmnModel.params;
-        # the layer views of the parameters and the gradient are built once
+    def __init__(self, cells, curves, encoder_widths, decoder_widths, rows):
+        c, s, m, n = cells, curves, rows, curves * rows
+        # per cell the S encoders, then the decoder, laid out like
+        # SmnModel.params; the layer views of the parameters and the
+        # gradient are built once
         enc_size = param_count(encoder_widths)
-        size = s * enc_size + param_count(decoder_widths)
-        params, self.grad = np.empty(size), np.empty(size)
-        self.enc_params = params[:s * enc_size].reshape(s, enc_size)
-        self.dec_params = params[None, s * enc_size:]
+        split = s * enc_size
+        size = split + param_count(decoder_widths)
+        params, self.grad = np.empty((c, size)), np.empty((c, size))
+        self.enc_params = params[:, :split].reshape(c, s, enc_size)
+        self.dec_params = params[:, split:]
         self.enc_layers = mlp_layers(encoder_widths, self.enc_params)
         self.dec_layers = mlp_layers(decoder_widths, self.dec_params)
         self.enc_grads = mlp_layers(
-            encoder_widths, self.grad[:s * enc_size].reshape(s, enc_size))
-        self.dec_grads = mlp_layers(decoder_widths,
-                                    self.grad[None, s * enc_size:])
+            encoder_widths, self.grad[:, :split].reshape(c, s, enc_size))
+        self.dec_grads = mlp_layers(decoder_widths, self.grad[:, split:])
         self.finite = np.empty(self.grad.shape, dtype=bool)
-        self.yt = np.empty((2, m))
-        self.wt = np.empty((s, m))
-        self.enc_acts = [np.empty((s, w, m)) for w in encoder_widths[1:]]
-        self.lam = self.enc_acts[-1].reshape(1, 1, n)  # coordinates side by side
-        self.dec_acts = [np.empty((1, w, n)) for w in decoder_widths[1:]]
+        self.yt = np.empty((c, 1, 2, m))  # one cell's rows for all curves
+        self.wt = np.empty((c, s, m))
+        self.enc_acts = [np.empty((c, s, w, m)) for w in encoder_widths[1:]]
+        # a cell's coordinates side by side
+        self.lam = self.enc_acts[-1].reshape(c, 1, n)
+        self.dec_acts = [np.empty((c, w, n)) for w in decoder_widths[1:]]
         # decoder outputs per curve: radius logit, then radius, then the
         # gradient at the logit; angle, then scratch, then the gradient at
         # the angle
-        self.rho = self.dec_acts[-1][0, 0].reshape(s, m)
-        self.angle = self.dec_acts[-1][0, 1].reshape(s, m)
-        self.proj = np.empty((s, 2, m))
-        self.resid = np.empty((s, 2, m))  # proj - y, then dL/d(proj)
-        self.tmp = np.empty((s, m))
-        self.tmp2 = np.empty((s, m))
-        self.mask = np.empty((s, m), dtype=bool)
+        self.rho = self.dec_acts[-1][:, 0].reshape(c, s, m)
+        self.angle = self.dec_acts[-1][:, 1].reshape(c, s, m)
+        self.proj = np.empty((c, s, 2, m))
+        self.tmp = np.empty((c, s, m))
+        self.tmp2 = np.empty((c, s, m))
+        self.mask = np.empty((c, s, m), dtype=bool)
         # input gradients: the decoder's goes to tmp. Its backward pass
         # ends before the encoders' starts, so at each hidden depth the two
-        # share one buffer of n * (the wider of the two layers) floats.
+        # share one buffer of c * n * (the wider of the two layers) floats.
+        # The first also holds proj - y, then dL/d(proj), which are spent
+        # before the backward pass starts.
         hidden = (encoder_widths[1:-1], decoder_widths[1:-1])
-        shared = [np.empty(n * max(pair))
-                  for pair in zip_longest(*hidden, fillvalue=0)]
-        self.enc_g_ins = [None] + [buf[:n * w].reshape(s, w, m)
+        widest = [max(pair) for pair in zip_longest(*hidden, fillvalue=0)]
+        widest[0] = max(widest[0], 2)
+        shared = [np.empty(c * n * w) for w in widest]
+        self.resid = shared[0][:c * n * 2].reshape(c, s, 2, m)
+        self.enc_g_ins = [None] + [buf[:c * n * w].reshape(c, s, w, m)
                                    for buf, w in zip(shared, hidden[0])]
-        self.dec_g_ins = [self.tmp.reshape(1, 1, n)] + [
-            buf[:n * w].reshape(1, w, n) for buf, w in zip(shared, hidden[1])]
+        self.dec_g_ins = [self.tmp.reshape(c, 1, n)] + [
+            buf[:c * n * w].reshape(c, w, n)
+            for buf, w in zip(shared, hidden[1])]
 
+
+# Most columns (cells x curves x rows) one SMN pass holds. The cells of a
+# group share a pass up to this size, so pilot-sized batches of many cells
+# take one pass, while frame-sized ones take a pass per cell or few: there
+# stacking saves nothing and its buffers would outgrow the cache and the
+# memory one cell needs.
+PASS_COLUMNS = 4096
 
 # The most recently used workspaces of this thread; a fit needs two (pilot
-# rows and frame rows).
+# rows and frame rows), and a third when a group's last pass is short.
 _WORKSPACES = threading.local()
 _WORKSPACE_LIMIT = 4
 
 
-def _workspace(model: SmnModel, stack: int, rows: int) -> _Workspace:
+def _workspace(model: SmnModel, cells: int, curves: int,
+               rows: int) -> _Workspace:
     cache = getattr(_WORKSPACES, "cache", None)
     if cache is None:
         cache = _WORKSPACES.cache = OrderedDict()
-    key = (stack, model.encoder_widths, model.decoder_widths, rows)
+    key = (cells, curves, model.encoder_widths, model.decoder_widths, rows)
     ws = cache.pop(key, None)
     if ws is None:
         ws = _Workspace(*key)
@@ -315,13 +342,29 @@ def _workspace(model: SmnModel, stack: int, rows: int) -> _Workspace:
     return ws
 
 
-def _forward(model: SmnModel, ws: _Workspace, curves: slice):
-    """Projections of the rows in ws.yt onto the given curves, into
-    ws.proj. Returns the MLP caches of the encoders and of the decoder."""
+def _cell_params(model: SmnModel) -> np.ndarray:
+    """The parameters as (C, P) rows, one per cell; one cell's (P,) vector
+    is a group of one."""
+    return model.params.reshape(-1, model.params.shape[-1])
+
+
+def _passes(cells: int, curves: int, rows: int):
+    """Cell slices of the passes over a group: as many cells per pass as
+    PASS_COLUMNS allows, and at least one."""
+    per = max(1, PASS_COLUMNS // (curves * rows))
+    return [slice(i, min(i + per, cells)) for i in range(0, cells, per)]
+
+
+def _forward(model: SmnModel, params: np.ndarray, ws: _Workspace,
+             curves: slice):
+    """Projections of the rows in ws.yt onto the given curves of the cells
+    whose (cells, P) parameters are given, into ws.proj. Returns the MLP
+    caches of the encoders and of the decoder."""
     split = model.decoder_slice.start
     np.copyto(ws.enc_params,
-              model.params[:split].reshape(model.order, -1)[curves])
-    np.copyto(ws.dec_params, model.params[None, split:])
+              params[:, :split].reshape(len(params), model.order, -1)[
+                  :, curves])
+    np.copyto(ws.dec_params, params[:, split:])
     _, enc_cache = mlp_forward(ws.enc_layers, ws.yt, ws.enc_acts)
     _, dec_cache = mlp_forward(ws.dec_layers, ws.lam, ws.dec_acts)
     rho, cart0, cart1 = ws.rho, ws.tmp, ws.tmp2
@@ -330,7 +373,7 @@ def _forward(model: SmnModel, ws: _Workspace, curves: slice):
     # proj = x_k * cart in complex form
     re = model.transforms[curves, 0, :1]
     im = model.transforms[curves, 1, :1]
-    p0, p1, tmp = ws.proj[:, 0], ws.proj[:, 1], ws.angle
+    p0, p1, tmp = ws.proj[:, :, 0], ws.proj[:, :, 1], ws.angle
     np.multiply(re, cart0, out=p0)
     np.multiply(im, cart1, out=tmp)
     p0 -= tmp
@@ -340,27 +383,42 @@ def _forward(model: SmnModel, ws: _Workspace, curves: slice):
     return enc_cache, dec_cache
 
 
+def _cells_view(model: SmnModel, y: np.ndarray, w=None):
+    """Rows-first batch (m, C, ...) of a group's cells; one cell's (m, ...)
+    batch is a group of one."""
+    if model.params.ndim == 1:
+        y = y[:, None]
+        w = None if w is None else w[:, None]
+    return y, w
+
+
 def project(model: SmnModel, k: int, y: np.ndarray) -> np.ndarray:
-    """Project IQ points onto symbol k's learned curve.
+    """Project IQ points onto symbol k's learned curve (one cell's model).
 
     Accepts a single (2,) point or an (m, 2) batch and mirrors the shape.
     """
     y = np.asarray(y, dtype=float)
     rows = y[None] if y.ndim == 1 else y
-    ws = _workspace(model, 1, rows.shape[0])
-    np.copyto(ws.yt, rows.T)
-    _forward(model, ws, slice(k, k + 1))
-    proj = ws.proj[0].T.copy()
+    ws = _workspace(model, 1, 1, rows.shape[0])
+    np.copyto(ws.yt[0, 0], rows.T)
+    _forward(model, model.params[None], ws, slice(k, k + 1))
+    proj = ws.proj[0, 0].T.copy()
     return proj[0] if y.ndim == 1 else proj
 
 
 def project_all(model: SmnModel, y: np.ndarray) -> np.ndarray:
-    """Projections onto every curve, shape (m, K, 2)."""
-    yt = np.asarray(y, dtype=float).T
-    ws = _workspace(model, model.order, yt.shape[1])
-    np.copyto(ws.yt, yt)
-    _forward(model, ws, slice(None))
-    return ws.proj.transpose(2, 0, 1).copy()
+    """Projections onto every curve: (m, K, 2) for one cell's (m, 2) rows,
+    (m, C, K, 2) for a group's (m, C, 2) rows."""
+    y, _ = _cells_view(model, np.asarray(y, dtype=float))
+    m, c = y.shape[:2]
+    params = _cell_params(model)
+    proj = np.empty((m, c, model.order, 2))
+    for part in _passes(c, model.order, m):
+        ws = _workspace(model, part.stop - part.start, model.order, m)
+        np.copyto(ws.yt[:, 0], y[:, part].transpose(1, 2, 0))
+        _forward(model, params[part], ws, slice(None))
+        np.copyto(proj[:, part], ws.proj.transpose(3, 0, 1, 2))
+    return proj[:, 0] if model.params.ndim == 1 else proj
 
 
 def encode(model: SmnModel, k: int, y: np.ndarray) -> np.ndarray:
@@ -392,20 +450,26 @@ def decode_curve(model: SmnModel, lam_grid: np.ndarray) -> np.ndarray:
 def _check_batch(model, y, w):
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
-    if y.ndim != 2 or y.shape[1] != 2:
-        raise ValueError(f"y must be (m, 2), got {y.shape}")
-    if w.shape != (y.shape[0], model.order):
-        raise ValueError(f"w must be ({y.shape[0]}, {model.order}), "
+    cells = model.params.shape[:-1]
+    if y.ndim != 2 + len(cells) or y.shape[1:] != cells + (2,):
+        raise ValueError(f"y must be (m, {', '.join(map(str, cells + (2,)))})"
+                         f", got {y.shape}")
+    if w.shape != y.shape[:-1] + (model.order,):
+        raise ValueError(f"w must be {y.shape[:-1] + (model.order,)}, "
                          f"got {w.shape}")
     return y, w
 
 
-def weighted_loss(model: SmnModel, y: np.ndarray, w: np.ndarray) -> float:
-    """(1/m) sum_i sum_k w_ik ||y_i - proj_k(y_i)||^2."""
+def weighted_loss(model: SmnModel, y: np.ndarray, w: np.ndarray):
+    """(1/m) sum_i sum_k w_ik ||y_i - proj_k(y_i)||^2; for a group, an
+    array with one such loss per cell."""
     y, w = _check_batch(model, y, w)
     proj = project_all(model, y)
-    d2 = np.sum((y[:, None, :] - proj) ** 2, axis=2)
-    return float(np.mean(np.sum(w * d2, axis=1)))
+    d2 = np.sum((y[..., None, :] - proj) ** 2, axis=-1)
+    # each cell's rows contiguous, so a cell's mean sums like one cell's
+    per_row = np.ascontiguousarray(np.sum(w * d2, axis=-1).T)
+    loss = np.mean(per_row, axis=-1)
+    return float(loss) if model.params.ndim == 1 else loss
 
 
 def collect_params(model: SmnModel) -> np.ndarray:
@@ -423,31 +487,52 @@ def with_params(model: SmnModel, params) -> SmnModel:
 
 
 def loss_and_gradients(model: SmnModel, y: np.ndarray, w: np.ndarray):
-    """Weighted reconstruction loss and its gradient, a flat vector laid out
-    like collect_params.
+    """Weighted reconstruction loss and its gradient, laid out like the
+    parameters.
 
-    The shared decoder's gradient sums the contributions of every symbol
-    curve; the fixed transforms get none. Raises NonFiniteError if anything
-    overflows to NaN/Inf.
+    For one cell's model, y is (m, 2) and w (m, K), and the result a float
+    and a flat vector. For a group, whose parameters are (C, P), y is
+    (m, C, 2) and w (m, C, K), and the result one loss per cell, (C,), and
+    one gradient row per cell, (C, P). The shared decoder's gradient sums
+    the contributions of every symbol curve; the fixed transforms get none.
+    Raises NonFiniteError if anything overflows to NaN/Inf.
     """
-    y, w = _check_batch(model, y, w)
-    m = y.shape[0]
-    ws = _workspace(model, model.order, m)
-    np.copyto(ws.yt, y.T)
-    np.copyto(ws.wt, w.T)
-    enc_cache, dec_cache = _forward(model, ws, slice(None))
+    y, w = _cells_view(model, *_check_batch(model, y, w))
+    m, c = y.shape[:2]
+    params = _cell_params(model)
+    loss, grad = np.empty(c), np.empty(params.shape)
+    for part in _passes(c, model.order, m):
+        ws = _workspace(model, part.stop - part.start, model.order, m)
+        np.copyto(ws.yt[:, 0], y[:, part].transpose(1, 2, 0))
+        np.copyto(ws.wt, w[:, part].transpose(1, 2, 0))
+        loss[part] = _loss_pass(model, params[part], ws)
+        if not (np.isfinite(loss[part]).all()
+                and np.isfinite(ws.grad, out=ws.finite).all()):
+            raise NonFiniteError("loss or gradient overflowed to NaN/Inf")
+        grad[part] = ws.grad
+    if model.params.ndim == 1:
+        return float(loss[0]), grad[0]
+    return loss, grad
+
+
+def _loss_pass(model: SmnModel, params: np.ndarray, ws: _Workspace):
+    """One pass of loss_and_gradients over the cells whose parameters are
+    given; writes their gradient into ws.grad and returns their losses."""
+    c, _, m = ws.wt.shape
+    enc_cache, dec_cache = _forward(model, params, ws, slice(None))
 
     g, tmp, tmp2 = ws.resid, ws.tmp, ws.tmp2
     np.subtract(ws.proj, ws.yt, out=g)
-    np.multiply(g[:, 0], g[:, 0], out=tmp)
-    np.multiply(g[:, 1], g[:, 1], out=tmp2)
+    np.multiply(g[:, :, 0], g[:, :, 0], out=tmp)
+    np.multiply(g[:, :, 1], g[:, :, 1], out=tmp2)
     tmp += tmp2
     tmp *= ws.wt
-    loss = float(tmp.sum()) / m
+    loss = tmp.reshape(c, -1).sum(axis=1) / m
 
     np.multiply(ws.wt, 2.0 / m, out=tmp)
-    np.multiply(g, tmp[:, None, :], out=g)
-    p0, p1, g0, g1 = ws.proj[:, 0], ws.proj[:, 1], g[:, 0], g[:, 1]
+    np.multiply(g, tmp[:, :, None, :], out=g)
+    p0, p1 = ws.proj[:, :, 0], ws.proj[:, :, 1]
+    g0, g1 = g[:, :, 0], g[:, :, 1]
     # the decoder output gradient overwrites its output (see module doc)
     g_angle, g_rho = ws.angle, ws.rho
     np.multiply(p0, g1, out=g_angle)
@@ -461,13 +546,10 @@ def loss_and_gradients(model: SmnModel, y: np.ndarray, w: np.ndarray):
 
     g_lam = mlp_backward(ws.dec_layers, dec_cache, ws.dec_acts[-1],
                          ws.dec_grads, ws.dec_g_ins)
-    mlp_backward(ws.enc_layers, enc_cache, g_lam.reshape(model.order, 1, m),
-                 ws.enc_grads, ws.enc_g_ins, input_grad=False)
-
-    if not (math.isfinite(loss)
-            and np.isfinite(ws.grad, out=ws.finite).all()):
-        raise NonFiniteError("loss or gradient overflowed to NaN/Inf")
-    return loss, ws.grad.copy()
+    mlp_backward(ws.enc_layers, enc_cache,
+                 g_lam.reshape(c, model.order, 1, m), ws.enc_grads,
+                 ws.enc_g_ins, input_grad=False)
+    return loss
 
 
 @dataclass(frozen=True)

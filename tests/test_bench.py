@@ -372,6 +372,11 @@ class TestCli:
         assert main(["validate-physics"]) == 0
         assert "pass" in capsys.readouterr().out
 
+    def test_validate_physics_negative_seed_exit_two(self, capsys):
+        assert main(["validate-physics", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_bad_override_exit_two(self, capsys):
         code = main(["ser-sweep", "--snr", "ten"])
         assert code == 2
@@ -411,6 +416,8 @@ class TestCli:
         ("ser-sweep", "oscillation_freq_hz = 0\n", []),
         ("ser-sweep", "oscillation_freq_hz = nan\n", []),
         ("ser-sweep", "profile = constant\nconstant_level = 1e25\n", []),
+        ("ser-sweep", "carrier_freq_hz = 1e300\n", []),
+        ("ser-sweep", "collision_freq_hz = 1e300\n", []),
     ], ids=["no-receivers", "no-intervals", "nan-snr", "snapshots-no-snr",
             "fading-no-snr", "duplicate-snr", "zero-interval",
             "interval-over-frame", "huge-snr", "colliding-snr",
@@ -421,7 +428,8 @@ class TestCli:
             "negative-sheath", "zero-sheath", "density-min-over-max",
             "density-min-nan", "density-max-inf", "negative-seed",
             "negative-seed-flag", "zero-symbol-rate", "zero-oscillation",
-            "nan-oscillation", "constant-level-outside"])
+            "nan-oscillation", "constant-level-outside", "huge-carrier",
+            "huge-collision"])
     def test_bad_config_exit_two(self, tmp_path, capsys, command,
                                  config_text, flags):
         # a short base run, so a check that lets the input through fails
