@@ -56,7 +56,7 @@ from .link import (
     snr_to_noise_variance,
     transmit,
 )
-from .net import SmnModel, init_model, project
+from .net import SmnModel, init_model
 from .physics import (
     ChannelParams,
     DensityTrajectory,
@@ -110,7 +110,6 @@ __all__ = [
     "pilot_interp_ml",
     "plasma_frequency",
     "pretrain",
-    "project",
     "propagation_vector",
     "qpsk_theory_ser",
     "reference_channel_params",

@@ -218,7 +218,11 @@ class ExperimentConfig:
     def resolve_out_dir(self) -> Path:
         out = self.out_dir or os.environ.get("PLASMALINK_OUTDIR", ".")
         path = Path(out)
-        path.mkdir(parents=True, exist_ok=True)
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {path}: "
+                              f"{exc.strerror}") from None
         return path
 
 
@@ -305,10 +309,14 @@ def config_from_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return config_from_text(path.read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from None
+    return config_from_text(text)
 
 
 def save_config(path, config: ExperimentConfig) -> None:
@@ -609,8 +617,7 @@ def _pilot_lam_span(model, rx, frame):
     """Curve-coordinate range of the labeled pilot samples."""
     y = rx.iq()[frame.pilot_positions]
     labels = frame.symbols[frame.pilot_positions]
-    lam = np.concatenate([encode(model, k, y[labels == k])
-                          for k in np.unique(labels)])
+    lam = encode(model, y)[np.arange(len(y)), labels]
     return float(lam.min()), float(lam.max())
 
 

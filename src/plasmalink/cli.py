@@ -23,11 +23,12 @@ import numpy as np
 from .baselines import genie_ml, qpsk_theory_ser
 from .bench import (
     ExperimentConfig,
-    cell_seed,
+    build_channel,
     load_config,
     run_fading_estimation,
     run_learning_snapshots,
     run_ser_sweep,
+    simulate_cell,
 )
 from .em import demodulate, e_step, elbo, fit
 from .exceptions import ConfigError
@@ -118,21 +119,26 @@ def _cmd_fading(args) -> int:
     return 0
 
 
+def _dispersion_error(density, params) -> float:
+    """Dispersion self-consistency: the largest relative error with which
+    the split coefficients rebuild the complex propagation constant
+    (omega/c) sqrt(eps_r) over the densities."""
+    eps = dielectric_coefficient(density, params)
+    alpha, beta = attenuation_phase_coefficients(density, params)
+    reference = (params.carrier_angular_freq / 299792458.0) * np.sqrt(eps)
+    rebuilt = beta - 1j * alpha
+    return float(np.max(np.abs(rebuilt - reference) / np.abs(reference)))
+
+
 def _cmd_validate_physics(args) -> int:
-    """Dispersion self-consistency: the split coefficients must rebuild
-    the complex propagation constant (omega/c) sqrt(eps_r)."""
+    """The dispersion check over 1000 random densities."""
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
     params = reference_channel_params()
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     lo, hi = params.density_range
     density = 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), 1000)
-    eps = dielectric_coefficient(density, params)
-    alpha, beta = attenuation_phase_coefficients(density, params)
-    reference = (params.carrier_angular_freq / 299792458.0) * np.sqrt(eps)
-    rebuilt = beta - 1j * alpha
-    rel = np.abs(rebuilt - reference) / np.abs(reference)
-    worst = float(rel.max())
+    worst = _dispersion_error(density, params)
     print(f"1000 densities in [{lo:.3g}, {hi:.3g}] per m^3: "
           f"max relative error {worst:.3e}")
     if worst < 1e-10:
@@ -146,12 +152,9 @@ def _selftest_checks():
     """Yield (name, callable) pairs; each callable raises on failure."""
 
     def physics_consistency():
-        params = reference_channel_params()
-        density = np.logspace(22, np.log10(6e23), 200)
-        eps = dielectric_coefficient(density, params)
-        alpha, beta = attenuation_phase_coefficients(density, params)
-        ref = (params.carrier_angular_freq / 299792458.0) * np.sqrt(eps)
-        np.testing.assert_allclose(beta - 1j * alpha, ref, rtol=1e-10)
+        worst = _dispersion_error(np.logspace(22, np.log10(6e23), 200),
+                                  reference_channel_params())
+        assert worst <= 1e-10, worst
 
     def constellation_energy():
         for bits in (1, 2, 3, 4):
@@ -221,14 +224,9 @@ def _selftest_checks():
                                   em_iterations=5, mstep_steps=60,
                                   snr_reference="received",
                                   standard_drude_loss=True)
-        from .bench import build_channel
         _, gains = build_channel(config)
         es = float(np.mean(np.abs(gains) ** 2))
-        seed = cell_seed(config.seed, 20.0, 16, 0)
-        frame = build_frame(512, 16, rng_seed=seed, order=const.order)
-        rx = transmit(frame, const, gains,
-                      snr_to_noise_variance(20.0, symbol_energy=es),
-                      rng_seed=seed)
+        seed, frame, rx = simulate_cell(config, gains, es, 20.0, 16, 0)
         result = fit(rx, frame, const, config.schedule(), rng_seed=seed)
         decisions = demodulate(result.weights)
         errs = np.sum(decisions[frame.payload_positions]

@@ -46,7 +46,6 @@ from .net import (  # noqa: F401
     init_adam,
     init_model,
     loss_and_gradients,
-    project,
     project_all,
     weighted_loss,
     with_params,
@@ -471,25 +470,20 @@ def extract_fading_curve(model: SmnModel, received: ReceivedSequence,
                          grid_size: int = 201) -> FadingEstimate:
     """Learned fading curves plus the per-sample channel-gain estimate.
 
-    Each sample is projected onto its decided symbol's curve; dividing the
-    projection by the symbol recovers the gain estimate s_hat = proj / x_k.
-    The default coordinate grid spans the payload samples' observed encoder
-    outputs (pilots excluded so a short pilot set cannot shrink the span).
+    Each sample's projection onto its decided symbol's curve, gathered
+    from the all-curves pass the E-step distances come from, divided by
+    the symbol recovers the gain estimate s_hat = proj / x_k. The default
+    coordinate grid spans the payload samples' observed encoder outputs
+    (pilots excluded so a short pilot set cannot shrink the span).
     """
     decisions = demodulate(w)
     y = received.iq()
-    m = len(decisions)
-    lam = np.empty(m)
-    proj = np.empty((m, 2))
-    for k in range(model.order):
-        sel = decisions == k
-        if not np.any(sel):
-            continue
-        lam[sel] = encode(model, k, y[sel])
-        proj[sel] = project(model, k, y[sel])
+    rows = np.arange(len(decisions))
+    lam = encode(model, y)[rows, decisions]
+    proj = project_all(model, y)[rows, decisions]
     estimates = (proj[:, 0] + 1j * proj[:, 1]) / constellation.points[decisions]
 
-    payload = np.arange(m) if frame is None else frame.payload_positions
+    payload = rows if frame is None else frame.payload_positions
     if len(payload) == 0:
         raise ValueError("no payload samples to span the curve coordinate")
     if lam_grid is None:

@@ -40,6 +40,9 @@ the rows of an (S, P) array, every layer's weights an (S, fan_out, fan_in)
 view (mlp_layers), and batches are feature-major, (S, features, rows). The
 K encoder blocks are contiguous, so all K encoders run as one stack, and
 their K coordinate rows, side by side, take one pass of the shared decoder.
+There is one such pass: every projection, loss and gradient covers all K
+curves, and a caller that wants one symbol's curve per row gathers it from
+project_all's (rows, K, 2) output or encode's (rows, K) coordinates.
 
 A lockstep group of C cells of one shape holds its parameters as (C, P)
 rows, one flat vector per cell, and takes rows-first batches, (m, C, 2).
@@ -82,7 +85,6 @@ __all__ = [
     "mlp_layers",
     "mlp_forward",
     "mlp_backward",
-    "project",
     "project_all",
     "encode",
     "decode_curve",
@@ -115,11 +117,6 @@ class SmnModel:
     @property
     def order(self) -> int:
         return self.transforms.shape[0]
-
-    def encoder_slice(self, k: int) -> slice:
-        """Where symbol k's encoder sits in the flat parameter vector."""
-        n = param_count(self.encoder_widths)
-        return slice(k * n, (k + 1) * n)
 
     @property
     def decoder_slice(self) -> slice:
@@ -262,22 +259,21 @@ def _polar(rho, angle, out0, out1):
 
 
 class _Workspace:
-    """Every buffer an SMN pass over C cells, S curves each, and m rows
-    writes into."""
+    """Every buffer an SMN pass over C cells of S = K curves each and m
+    rows writes into."""
 
     def __init__(self, cells, curves, encoder_widths, decoder_widths, rows):
         c, s, m, n = cells, curves, rows, curves * rows
-        # per cell the S encoders, then the decoder, laid out like
+        # per cell the K encoders, then the decoder, laid out like
         # SmnModel.params; the layer views of the parameters and the
         # gradient are built once
         enc_size = param_count(encoder_widths)
         split = s * enc_size
         size = split + param_count(decoder_widths)
-        params, self.grad = np.empty((c, size)), np.empty((c, size))
-        self.enc_params = params[:, :split].reshape(c, s, enc_size)
-        self.dec_params = params[:, split:]
-        self.enc_layers = mlp_layers(encoder_widths, self.enc_params)
-        self.dec_layers = mlp_layers(decoder_widths, self.dec_params)
+        self.params, self.grad = np.empty((c, size)), np.empty((c, size))
+        self.enc_layers = mlp_layers(
+            encoder_widths, self.params[:, :split].reshape(c, s, enc_size))
+        self.dec_layers = mlp_layers(decoder_widths, self.params[:, split:])
         self.enc_grads = mlp_layers(
             encoder_widths, self.grad[:, :split].reshape(c, s, enc_size))
         self.dec_grads = mlp_layers(decoder_widths, self.grad[:, split:])
@@ -327,12 +323,12 @@ _WORKSPACES = threading.local()
 _WORKSPACE_LIMIT = 4
 
 
-def _workspace(model: SmnModel, cells: int, curves: int,
-               rows: int) -> _Workspace:
+def _workspace(model: SmnModel, cells: int, rows: int) -> _Workspace:
     cache = getattr(_WORKSPACES, "cache", None)
     if cache is None:
         cache = _WORKSPACES.cache = OrderedDict()
-    key = (cells, curves, model.encoder_widths, model.decoder_widths, rows)
+    key = (cells, model.order, model.encoder_widths, model.decoder_widths,
+           rows)
     ws = cache.pop(key, None)
     if ws is None:
         ws = _Workspace(*key)
@@ -355,24 +351,19 @@ def _passes(cells: int, curves: int, rows: int):
     return [slice(i, min(i + per, cells)) for i in range(0, cells, per)]
 
 
-def _forward(model: SmnModel, params: np.ndarray, ws: _Workspace,
-             curves: slice):
-    """Projections of the rows in ws.yt onto the given curves of the cells
-    whose (cells, P) parameters are given, into ws.proj. Returns the MLP
-    caches of the encoders and of the decoder."""
-    split = model.decoder_slice.start
-    np.copyto(ws.enc_params,
-              params[:, :split].reshape(len(params), model.order, -1)[
-                  :, curves])
-    np.copyto(ws.dec_params, params[:, split:])
+def _forward(model: SmnModel, params: np.ndarray, ws: _Workspace):
+    """Projections of the rows in ws.yt onto every curve of the cells whose
+    (cells, P) parameters are given, into ws.proj. Returns the MLP caches
+    of the encoders and of the decoder."""
+    np.copyto(ws.params, params)
     _, enc_cache = mlp_forward(ws.enc_layers, ws.yt, ws.enc_acts)
     _, dec_cache = mlp_forward(ws.dec_layers, ws.lam, ws.dec_acts)
     rho, cart0, cart1 = ws.rho, ws.tmp, ws.tmp2
     _sigmoid(rho, rho, cart1, ws.mask)
     _polar(rho, ws.angle, cart0, cart1)
     # proj = x_k * cart in complex form
-    re = model.transforms[curves, 0, :1]
-    im = model.transforms[curves, 1, :1]
+    re = model.transforms[:, 0, :1]
+    im = model.transforms[:, 1, :1]
     p0, p1, tmp = ws.proj[:, :, 0], ws.proj[:, :, 1], ws.angle
     np.multiply(re, cart0, out=p0)
     np.multiply(im, cart1, out=tmp)
@@ -392,20 +383,6 @@ def _cells_view(model: SmnModel, y: np.ndarray, w=None):
     return y, w
 
 
-def project(model: SmnModel, k: int, y: np.ndarray) -> np.ndarray:
-    """Project IQ points onto symbol k's learned curve (one cell's model).
-
-    Accepts a single (2,) point or an (m, 2) batch and mirrors the shape.
-    """
-    y = np.asarray(y, dtype=float)
-    rows = y[None] if y.ndim == 1 else y
-    ws = _workspace(model, 1, 1, rows.shape[0])
-    np.copyto(ws.yt[0, 0], rows.T)
-    _forward(model, model.params[None], ws, slice(k, k + 1))
-    proj = ws.proj[0, 0].T.copy()
-    return proj[0] if y.ndim == 1 else proj
-
-
 def project_all(model: SmnModel, y: np.ndarray) -> np.ndarray:
     """Projections onto every curve: (m, K, 2) for one cell's (m, 2) rows,
     (m, C, K, 2) for a group's (m, C, 2) rows."""
@@ -414,20 +391,20 @@ def project_all(model: SmnModel, y: np.ndarray) -> np.ndarray:
     params = _cell_params(model)
     proj = np.empty((m, c, model.order, 2))
     for part in _passes(c, model.order, m):
-        ws = _workspace(model, part.stop - part.start, model.order, m)
+        ws = _workspace(model, part.stop - part.start, m)
         np.copyto(ws.yt[:, 0], y[:, part].transpose(1, 2, 0))
-        _forward(model, params[part], ws, slice(None))
+        _forward(model, params[part], ws)
         np.copyto(proj[:, part], ws.proj.transpose(3, 0, 1, 2))
     return proj[:, 0] if model.params.ndim == 1 else proj
 
 
-def encode(model: SmnModel, k: int, y: np.ndarray) -> np.ndarray:
-    """Curve coordinates of IQ rows under symbol k's encoder, shape (m,)."""
-    layers = mlp_layers(model.encoder_widths,
-                        model.params[None, model.encoder_slice(k)])
-    lam, _ = mlp_forward(layers,
+def encode(model: SmnModel, y: np.ndarray) -> np.ndarray:
+    """Curve coordinates of one cell's (m, 2) IQ rows under every symbol's
+    encoder, (m, K): the K encoders as one stack."""
+    blocks = model.params[:model.decoder_slice.start].reshape(model.order, -1)
+    lam, _ = mlp_forward(mlp_layers(model.encoder_widths, blocks),
                          np.ascontiguousarray(np.asarray(y, dtype=float).T))
-    return lam[0, 0]
+    return lam[:, 0].T
 
 
 def decode_curve(model: SmnModel, lam_grid: np.ndarray) -> np.ndarray:
@@ -502,7 +479,7 @@ def loss_and_gradients(model: SmnModel, y: np.ndarray, w: np.ndarray):
     params = _cell_params(model)
     loss, grad = np.empty(c), np.empty(params.shape)
     for part in _passes(c, model.order, m):
-        ws = _workspace(model, part.stop - part.start, model.order, m)
+        ws = _workspace(model, part.stop - part.start, m)
         np.copyto(ws.yt[:, 0], y[:, part].transpose(1, 2, 0))
         np.copyto(ws.wt, w[:, part].transpose(1, 2, 0))
         loss[part] = _loss_pass(model, params[part], ws)
@@ -519,7 +496,7 @@ def _loss_pass(model: SmnModel, params: np.ndarray, ws: _Workspace):
     """One pass of loss_and_gradients over the cells whose parameters are
     given; writes their gradient into ws.grad and returns their losses."""
     c, _, m = ws.wt.shape
-    enc_cache, dec_cache = _forward(model, params, ws, slice(None))
+    enc_cache, dec_cache = _forward(model, params, ws)
 
     g, tmp, tmp2 = ws.resid, ws.tmp, ws.tmp2
     np.subtract(ws.proj, ws.yt, out=g)

@@ -377,6 +377,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("case", [
+        "config-is-directory", "config-not-utf8", "outdir-is-file",
+        "outdir-under-file"])
+    def test_unusable_path_exit_two(self, tmp_path, capsys, case):
+        config = tmp_path / "run.txt"
+        config.write_text("frame_length = 512\ntrials = 1\n"
+                          "receivers = genie_ml\n")
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = tmp_path / "out"
+        if case == "config-is-directory":
+            config = tmp_path
+        elif case == "config-not-utf8":
+            config.write_bytes(b"frame_length = 512\n# \xff\xfe\n")
+        elif case == "outdir-is-file":
+            out = afile
+        else:
+            out = afile / "out"
+        named = out if case.startswith("outdir") else config
+        code = main(["ser-sweep", "--config", str(config),
+                     "--outdir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(named) in err
+
     def test_bad_override_exit_two(self, capsys):
         code = main(["ser-sweep", "--snr", "ten"])
         assert code == 2

@@ -33,6 +33,7 @@ from plasmalink.net import (
     collect_params,
     encode,
     init_model,
+    project_all,
     weighted_loss,
     with_params,
 )
@@ -152,15 +153,15 @@ class TestMStep:
 
 class TestElbo:
     def brute_force(self, model, rx, w):
-        from plasmalink.net import project
         y = rx.iq()
+        proj = project_all(model, y)
         total = 0.0
         var = model.noise_variance
         for i in range(len(y)):
             for k in range(model.order):
                 if w[i, k] == 0.0:
                     continue
-                d2 = np.sum((y[i] - project(model, k, y[i])) ** 2)
+                d2 = np.sum((y[i] - proj[i, k]) ** 2)
                 log_joint = (-np.log(np.pi * var) - d2 / var
                              + np.log(1.0 / model.order))
                 total += w[i, k] * (log_joint - np.log(w[i, k]))
@@ -348,9 +349,8 @@ class TestExtractFadingCurve:
         est = extract_fading_curve(result.model, rx, result.weights, const,
                                    frame=frame)
         y = rx.iq()
-        lam = np.array([encode(result.model, est.decisions[i],
-                               y[i:i + 1])[0]
-                        for i in frame.payload_positions])
+        payload = frame.payload_positions
+        lam = encode(result.model, y)[payload, est.decisions[payload]]
         np.testing.assert_allclose(est.lam_grid[0], lam.min(), rtol=1e-12)
         np.testing.assert_allclose(est.lam_grid[-1], lam.max(), rtol=1e-12)
 

@@ -28,7 +28,6 @@ from plasmalink.net import (
     init_adam,
     init_model,
     loss_and_gradients,
-    project,
     project_all,
     symbol_transforms,
     weighted_loss,
@@ -84,43 +83,28 @@ class TestForward:
         model = init_model(const, rng_seed=0)
         zeros = [np.zeros_like(p) for p in collect_params(model)]
         model = with_params(model, zeros)
-        y = np.array([1.3, -0.4])
+        y = np.array([[1.3, -0.4]])
         for k in range(4):
             want = 0.5 * np.array([const.points[k].real,
                                    const.points[k].imag])
-            np.testing.assert_allclose(project(model, k, y), want,
+            np.testing.assert_allclose(project_all(model, y)[:, k], [want],
                                        atol=1e-15)
         np.testing.assert_allclose(
-            project(model, 0, y), [0.3535533905932738, 0.3535533905932738],
-            rtol=1e-15)
-
-    def test_single_and_batch_agree(self):
-        model = init_model(build_constellation(2), rng_seed=1)
-        y = np.random.default_rng(2).normal(size=(5, 2))
-        batch = project(model, 3, y)
-        for i in range(5):
-            np.testing.assert_allclose(project(model, 3, y[i]), batch[i],
-                                       rtol=1e-14)
-
-    def test_project_all_matches_per_curve(self):
-        model = init_model(build_constellation(1), rng_seed=3)
-        y = np.random.default_rng(4).normal(size=(6, 2))
-        allp = project_all(model, y)
-        assert allp.shape == (6, 2, 2)
-        for k in range(2):
-            np.testing.assert_allclose(allp[:, k], project(model, k, y))
+            project_all(model, y)[:, 0],
+            [[0.3535533905932738, 0.3535533905932738]], rtol=1e-15)
 
     def test_curves_share_one_decoder(self):
         # with identical encoders, undoing T_k must give the same canonical
         # point for every symbol
         model = init_model(build_constellation(2), rng_seed=5)
         params = collect_params(model).copy()
-        for k in range(1, 4):
-            params[model.encoder_slice(k)] = params[model.encoder_slice(0)]
+        encoders = params[:model.decoder_slice.start].reshape(4, -1)
+        encoders[1:] = encoders[0]
         model = with_params(model, params)
         y = np.array([[0.2, 0.9], [-1.1, 0.3]])
+        proj = project_all(model, y)
         canonical = [np.linalg.solve(model.transforms[k].astype(float),
-                                     project(model, k, y).T).T
+                                     proj[:, k].T).T
                      for k in range(4)]
         for k in range(1, 4):
             np.testing.assert_allclose(canonical[k], canonical[0],
@@ -130,8 +114,9 @@ class TestForward:
         # |projection| = rho * |x_k| < |x_k| since rho is a sigmoid output
         model = init_model(build_constellation(2), rng_seed=31)
         y = np.random.default_rng(32).normal(scale=3.0, size=(200, 2))
+        proj = project_all(model, y)
         for k in range(4):
-            mags = np.linalg.norm(project(model, k, y), axis=1)
+            mags = np.linalg.norm(proj[:, k], axis=1)
             assert np.all(mags < 1.0 + 1e-12)
 
     def test_curve_samples_are_rigid_copies(self):
@@ -148,13 +133,16 @@ class TestForward:
     @pytest.mark.parametrize("bits", [1, 2, 3, 4])
     @pytest.mark.parametrize("init_std", [0.1, 2.0])
     def test_project_is_decode_of_encode(self, bits, init_std):
-        # the SMN pass and the one-curve helpers share the polar head
+        # the SMN pass and the decode_curve helper share the polar head
         model = init_model(build_constellation(bits), rng_seed=bits,
                            init_std=init_std)
         y = np.random.default_rng(bits).normal(size=(64, 2))
+        lam, proj = encode(model, y), project_all(model, y)
+        assert lam.shape == (64, model.order)
+        assert proj.shape == (64, model.order, 2)
         for k in range(model.order):
-            curve = decode_curve(model, encode(model, k, y))[k]
-            np.testing.assert_allclose(project(model, k, y), curve,
+            curve = decode_curve(model, lam[:, k])[k]
+            np.testing.assert_allclose(proj[:, k], curve,
                                        rtol=0, atol=1e-15)
 
     def test_init_deterministic_per_seed(self):
@@ -183,10 +171,11 @@ class TestLoss:
     def test_matches_brute_force(self):
         model = init_model(build_constellation(2), rng_seed=6)
         y, w = make_batch(model, 12, seed=7)
+        proj = project_all(model, y)
         total = 0.0
         for i in range(12):
             for k in range(4):
-                d = y[i] - project(model, k, y[i])
+                d = y[i] - proj[i, k]
                 total += w[i, k] * float(d @ d)
         np.testing.assert_allclose(weighted_loss(model, y, w), total / 12,
                                    rtol=1e-12)
@@ -206,7 +195,7 @@ class TestLoss:
         labels = np.random.default_rng(13).integers(0, 2, size=8)
         w = np.zeros((8, 2))
         w[np.arange(8), labels] = 1.0
-        picked = np.stack([project(model, labels[i], y[i]) for i in range(8)])
+        picked = project_all(model, y)[np.arange(8), labels]
         mse = float(np.mean(np.sum((y - picked) ** 2, axis=1)))
         np.testing.assert_allclose(weighted_loss(model, y, w), mse,
                                    rtol=1e-12)
@@ -260,7 +249,7 @@ class TestGradients:
         y, w = make_batch(model, 6, seed=22)
         w[:, 2] = 0.0
         _, grads = loss_and_gradients(model, y, w)
-        unused = grads[model.encoder_slice(2)]
+        unused = grads[:model.decoder_slice.start].reshape(4, -1)[2]
         np.testing.assert_array_equal(unused, np.zeros_like(unused))
 
     def test_zero_weights_zero_gradient(self):
@@ -365,7 +354,7 @@ class TestWorkspaces:
     @staticmethod
     def run(model, y, w):
         loss, grads = loss_and_gradients(model, y, w)
-        return loss, grads, project_all(model, y), project(model, 1, y)
+        return loss, grads, project_all(model, y), encode(model, y)
 
     def test_interleaved_shapes_bit_identical(self):
         # references from a fresh thread, whose workspace cache is empty;
