@@ -80,7 +80,9 @@ class ExperimentConfig:
 
     Densities are per cubic meter internally; the text format also accepts
     *_per_cm3 keys (scaled by 1e6 on read) so the two unit conventions can
-    never be silently confused.
+    never be silently confused. Construction checks every field but the
+    channel and trajectory numbers, which the physics checks when
+    build_channel runs.
     """
 
     # channel
@@ -157,51 +159,12 @@ class ExperimentConfig:
                               f"1..frame_length ({self.frame_length})")
         if self.hidden_units < 1:
             raise ConfigError("hidden_units must be >= 1")
-        if self.bits_per_symbol not in (1, 2, 3, 4):
-            raise ConfigError(f"bits_per_symbol must be 1..4, "
-                              f"got {self.bits_per_symbol}")
-        if not 0 < self.gain_floor < 1:
-            raise ConfigError(f"gain_floor must lie in (0, 1), "
-                              f"got {self.gain_floor}")
-        self._check_channel()
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # built only so that their own field checks run now
+        build_constellation(self.bits_per_symbol)
         self.schedule()
         self.dnn_config()
-
-    def _check_channel(self):
-        """Channel and density-trajectory fields: the range checks the
-        physics makes when build_channel runs, which is after config.txt
-        is written, plus finiteness, which the physics does not check."""
-        names = ("carrier_freq_hz", "collision_freq_hz", "n_e_min",
-                 "n_e_max", "oscillation_freq_hz", "phase_offset_rad",
-                 "symbol_rate_hz")
-        bad = [n for n in names if not np.isfinite(getattr(self, n))]
-        if bad:
-            raise ConfigError(f"{', '.join(bad)} must be finite")
-        if self.carrier_freq_hz <= 0:
-            raise ConfigError("carrier_freq_hz must be > 0")
-        if self.collision_freq_hz < 0:
-            raise ConfigError("collision_freq_hz must be >= 0")
-        if not 0 < self.n_e_min <= self.n_e_max:
-            raise ConfigError(f"densities must satisfy 0 < n_e_min <= "
-                              f"n_e_max, got {self.n_e_min:g}, "
-                              f"{self.n_e_max:g}")
-        thickness = self.sheath_thickness_m
-        if thickness is not None and not 0 < thickness < np.inf:
-            raise ConfigError(f"sheath_thickness_m must be finite and > 0, "
-                              f"got {thickness:g}")
-        if self.symbol_rate_hz <= 0:
-            raise ConfigError("symbol_rate_hz must be > 0")
-        if self.profile == "sinusoid" and self.oscillation_freq_hz <= 0:
-            raise ConfigError("oscillation_freq_hz must be > 0 for the "
-                              "sinusoid profile")
-        level = self.constant_level
-        if self.profile == "constant" and level is not None and not (
-                self.n_e_min <= level <= self.n_e_max):
-            raise ConfigError(f"constant_level {level:g} outside density "
-                              f"range [{self.n_e_min:g}, {self.n_e_max:g}]")
 
     def schedule(self) -> EmSchedule:
         return EmSchedule(pretrain_steps=self.pretrain_steps,
@@ -336,31 +299,31 @@ def _archive_config(out_dir: Path, config: ExperimentConfig) -> None:
 def build_channel(config: ExperimentConfig):
     """Channel params (calibrating z if unset) and the gain sequence.
 
-    Raises ConfigError when the channel fields, though each finite, take
-    the physics out of floating-point range (a carrier or collision
-    frequency of 1e300 Hz squares to an overflow). The studies build the
-    channel before they write any file.
+    The physics checks the channel and trajectory fields here and raises
+    ConfigError, as this does when values that pass leave floating-point
+    range (a carrier of 1e300 Hz squares to inf, one of 1e-300 Hz to 0).
+    The studies build the channel before they write any file.
     """
-    try:
-        params = reference_channel_params(
-            carrier_freq=config.carrier_freq_hz,
-            collision_freq=config.collision_freq_hz,
-            density_range=(config.n_e_min, config.n_e_max),
-            sheath_thickness=config.sheath_thickness_m,
-            frequencies_are_angular=config.frequencies_are_angular,
-            standard_drude_loss=config.standard_drude_loss,
-            gain_floor=config.gain_floor)
-        traj = DensityTrajectory(profile_kind=config.profile,
-                                 oscillation_freq=config.oscillation_freq_hz,
-                                 phase_offset=config.phase_offset_rad,
-                                 length=config.frame_length,
-                                 symbol_rate=config.symbol_rate_hz,
-                                 constant_level=config.constant_level)
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        try:
+            params = reference_channel_params(
+                carrier_freq=config.carrier_freq_hz,
+                collision_freq=config.collision_freq_hz,
+                density_range=(config.n_e_min, config.n_e_max),
+                sheath_thickness=config.sheath_thickness_m,
+                frequencies_are_angular=config.frequencies_are_angular,
+                standard_drude_loss=config.standard_drude_loss,
+                gain_floor=config.gain_floor)
+            traj = DensityTrajectory(
+                profile_kind=config.profile,
+                oscillation_freq=config.oscillation_freq_hz,
+                phase_offset=config.phase_offset_rad,
+                length=config.frame_length, symbol_rate=config.symbol_rate_hz,
+                constant_level=config.constant_level)
             gains = channel_gain(density_trajectory(traj, params), params)
-    except OverflowError:
-        raise ConfigError("channel physics overflowed: carrier_freq_hz or "
-                          "collision_freq_hz is out of range") from None
+        except (OverflowError, ZeroDivisionError):
+            raise ConfigError("carrier_freq_hz or collision_freq_hz takes the "
+                              "channel physics out of float range") from None
     if not np.all(np.isfinite(gains)):
         raise ConfigError("channel gains are not finite: the channel "
                           "fields are out of range")

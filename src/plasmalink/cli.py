@@ -36,7 +36,7 @@ from .link import build_constellation, build_frame, snr_to_noise_variance, trans
 from .net import collect_params, init_model, loss_and_gradients, with_params
 from .physics import (
     attenuation_phase_coefficients,
-    dielectric_coefficient,
+    propagation_vector,
     reference_channel_params,
 )
 
@@ -121,11 +121,10 @@ def _cmd_fading(args) -> int:
 
 def _dispersion_error(density, params) -> float:
     """Dispersion self-consistency: the largest relative error with which
-    the split coefficients rebuild the complex propagation constant
-    (omega/c) sqrt(eps_r) over the densities."""
-    eps = dielectric_coefficient(density, params)
+    the split coefficients rebuild the complex propagation constant of the
+    square-root route (physics.propagation_vector) over the densities."""
     alpha, beta = attenuation_phase_coefficients(density, params)
-    reference = (params.carrier_angular_freq / 299792458.0) * np.sqrt(eps)
+    reference = propagation_vector(density, params)
     rebuilt = beta - 1j * alpha
     return float(np.max(np.abs(rebuilt - reference) / np.abs(reference)))
 

@@ -381,8 +381,7 @@ def elbo(model: SmnModel, received: ReceivedSequence, w: np.ndarray) -> float:
 
 def fit(received, frame, constellation: Constellation,
         schedule: EmSchedule = EmSchedule(), rng_seed=0,
-        hidden_units: int = 4, init_std: float = 0.1,
-        model: SmnModel | None = None, pretrain_hook=None,
+        hidden_units: int = 4, init_std: float = 0.1, pretrain_hook=None,
         em_hook=None):
     """Full training run: pilot pretraining, then EM over the whole frame.
 
@@ -391,9 +390,9 @@ def fit(received, frame, constellation: Constellation,
     pilots (sequences of received sequences, frames and seeds) and returns
     a GroupFit. A group trains in lockstep: its C x K encoders run as one
     stack and its C decoders as another, and each cell's numbers are those
-    of fitting it alone. A given model is in the same form (for a group,
-    (C, P) parameters), and so are the models the hooks see; em_hook also
-    gets the posterior, (m, K) or for a group cell-major (C, m, K).
+    of fitting it alone. The models the hooks see are in the same form
+    (for a group, (C, P) parameters); em_hook also gets the posterior,
+    (m, K) or for a group cell-major (C, m, K).
 
     The initial noise variance is the pilot residual after pretraining (the
     only data-driven estimate available before the first E-step). The frame
@@ -405,12 +404,11 @@ def fit(received, frame, constellation: Constellation,
     """
     cells, frames, single = _cells(received, frame)
     pilots = _shared_pilots(frames)
-    if model is None:
-        models = [init_model(constellation, seed, hidden_units, init_std)
-                  for seed in ([rng_seed] if single else rng_seed)]
-        model = models[0] if single else replace(
-            models[0], params=np.stack([m.params for m in models]),
-            noise_variance=np.ones(len(models)))
+    models = [init_model(constellation, seed, hidden_units, init_std)
+              for seed in ([rng_seed] if single else rng_seed)]
+    model = models[0] if single else replace(
+        models[0], params=np.stack([m.params for m in models]),
+        noise_variance=np.ones(len(models)))
     model = _group_model(pretrain(model, received, frame, schedule,
                                   step_hook=pretrain_hook))
 

@@ -52,7 +52,7 @@ class Constellation:
         energy = np.mean(np.abs(self.points) ** 2)
         if abs(energy - 1.0) > 1e-12:
             raise ValueError(f"constellation average energy {energy} != 1")
-        if len(np.unique(np.round(self.points, 12))) != self.order:
+        if len(set(np.round(self.points, 12).tolist())) != self.order:
             raise ValueError("constellation points must be pairwise distinct")
 
 

@@ -68,19 +68,19 @@ CODATA = PhysicalConstants()
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Plasma-sheath channel configuration.
+    """Plasma-sheath channel configuration; a bad value raises ConfigError.
 
     Parameters
     ----------
     carrier_angular_freq : float
-        Carrier angular frequency, rad/s. Strictly positive.
+        Carrier angular frequency, rad/s. Finite and strictly positive.
     collision_angular_freq : float
-        Electron-neutral collision angular frequency, rad/s. Nonnegative.
+        Electron-neutral collision angular frequency, rad/s. Finite, >= 0.
     sheath_thickness : float
-        Slab thickness z in meters. Strictly positive.
+        Slab thickness z in meters. Finite and strictly positive.
     density_range : (float, float)
         Inclusive electron-density range [n_min, n_max] in m^-3 with
-        0 < n_min <= n_max.
+        0 < n_min <= n_max < inf.
     standard_drude_loss : bool
         Use the standard Drude loss numerator instead of the printed form.
     """
@@ -92,15 +92,15 @@ class ChannelParams:
     standard_drude_loss: bool = False
 
     def __post_init__(self):
-        if self.carrier_angular_freq <= 0:
-            raise ValueError("carrier_angular_freq must be > 0")
-        if self.collision_angular_freq < 0:
-            raise ValueError("collision_angular_freq must be >= 0")
-        if self.sheath_thickness <= 0:
-            raise ValueError("sheath_thickness must be > 0")
+        if not 0 < self.carrier_angular_freq < math.inf:
+            raise ConfigError("carrier_angular_freq must be finite and > 0")
+        if not 0 <= self.collision_angular_freq < math.inf:
+            raise ConfigError("collision_angular_freq must be finite and >= 0")
+        if not 0 < self.sheath_thickness < math.inf:
+            raise ConfigError("sheath_thickness must be finite and > 0")
         n_min, n_max = self.density_range
-        if not (0 < n_min <= n_max):
-            raise ValueError("density_range must satisfy 0 < n_min <= n_max")
+        if not 0 < n_min <= n_max < math.inf:
+            raise ConfigError("density_range must satisfy 0 < n_min <= n_max < inf")
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,9 @@ class DensityTrajectory:
     """Deterministic electron-density time series specification.
 
     ``constant_level`` applies only to the constant profile and defaults to
-    the midpoint of the channel's density range.
+    the midpoint of the channel's density range. A bad field raises
+    ConfigError, here or (if the check depends on the profile) in
+    density_trajectory.
     """
 
     profile_kind: str = "sinusoid"   # sinusoid | linear_sweep | constant
@@ -123,8 +125,10 @@ class DensityTrajectory:
             raise ConfigError(f"unknown density profile {self.profile_kind!r}")
         if self.length < 1:
             raise ConfigError("trajectory length must be >= 1")
-        if self.symbol_rate <= 0:
-            raise ConfigError("symbol_rate must be > 0")
+        if not 0 < self.symbol_rate < math.inf:
+            raise ConfigError("symbol_rate must be finite and > 0")
+        if not np.all(np.isfinite([self.oscillation_freq, self.phase_offset])):
+            raise ConfigError("oscillation_freq and phase_offset must be finite")
 
 
 def plasma_frequency(n_e, constants: PhysicalConstants = CODATA):
@@ -152,8 +156,6 @@ def dielectric_coefficient(n_e, params: ChannelParams,
     loss term (zero loss only at zero density or zero collision rate).
     """
     n_e = np.asarray(n_e, dtype=float)
-    if np.any(n_e < 0):
-        raise ValueError("electron density must be >= 0")
     wp2 = plasma_frequency(n_e, constants) ** 2
     x = wp2 / (params.carrier_angular_freq**2 + params.collision_angular_freq**2)
     out = np.asarray((1.0 - x) - 1j * _loss_factor(params) * x, dtype=complex)
@@ -174,8 +176,6 @@ def attenuation_phase_coefficients(n_e, params: ChannelParams,
     imaginary part of the dielectric coefficient.
     """
     n_e = np.asarray(n_e, dtype=float)
-    if np.any(n_e < 0):
-        raise ValueError("electron density must be >= 0")
     wp2 = plasma_frequency(n_e, constants) ** 2
     omega = params.carrier_angular_freq
     x = wp2 / (omega**2 + params.collision_angular_freq**2)
@@ -251,6 +251,11 @@ def density_trajectory(traj: DensityTrajectory, params: ChannelParams):
     return np.clip(n_e, n_min, n_max)
 
 
+def _check_gain_floor(gain_floor: float) -> None:
+    if not 0 < gain_floor < 1:
+        raise ConfigError(f"gain_floor must lie in (0, 1), got {gain_floor:g}")
+
+
 def calibrate_sheath_thickness(params: ChannelParams, gain_floor: float = 0.05,
                                constants: PhysicalConstants = CODATA) -> ChannelParams:
     """Bisect the slab thickness so min |gain| over the density range = gain_floor.
@@ -260,12 +265,11 @@ def calibrate_sheath_thickness(params: ChannelParams, gain_floor: float = 0.05,
     strictly decreasing in z. Returns a copy of ``params`` with the
     calibrated thickness.
     """
-    if not (0 < gain_floor < 1):
-        raise ConfigError("gain_floor must lie in (0, 1)")
+    _check_gain_floor(gain_floor)
     alpha_max, _ = attenuation_phase_coefficients(params.density_range[1],
                                                   params, constants)
-    if alpha_max <= 0:
-        raise ConfigError("channel is lossless at n_max; cannot calibrate z")
+    if not 0 < alpha_max < math.inf:
+        raise ConfigError(f"cannot calibrate z: alpha(n_max) = {alpha_max:g}")
     target = -math.log(gain_floor)
     lo, hi = 0.0, 1.0
     while alpha_max * hi < target:
@@ -292,13 +296,14 @@ def reference_channel_params(carrier_freq: float = 9e9,
     converted to angular ones unless ``frequencies_are_angular`` is set
     (in which case they are taken as rad/s verbatim). Densities are m^-3.
     When ``sheath_thickness`` is None the thickness is calibrated so the
-    deepest fade has magnitude ``gain_floor``.
+    deepest fade has magnitude ``gain_floor``, which must lie in (0, 1).
     """
+    _check_gain_floor(gain_floor)
     factor = 1.0 if frequencies_are_angular else 2.0 * math.pi
     params = ChannelParams(
         carrier_angular_freq=factor * carrier_freq,
         collision_angular_freq=factor * collision_freq,
-        sheath_thickness=sheath_thickness if sheath_thickness else 1.0,
+        sheath_thickness=1.0 if sheath_thickness is None else sheath_thickness,
         density_range=density_range,
         standard_drude_loss=standard_drude_loss,
     )

@@ -1,5 +1,6 @@
 """Tests for the experiment driver: config format, sweeps, snapshots, CLI."""
 
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -151,6 +152,42 @@ class TestConfigFormat:
             config_from_text(text)
         except ConfigError:
             pass
+
+
+# the channel and trajectory float fields, each with a valid value that
+# lets the others vary alone; None is valid for the last two
+CHANNEL_FLOATS = {"carrier_freq_hz": 9e9, "collision_freq_hz": 20e9,
+                  "n_e_min": 1e22, "n_e_max": 6e23, "gain_floor": 0.05,
+                  "oscillation_freq_hz": 20e3, "phase_offset_rad": 0.0,
+                  "symbol_rate_hz": 1e6, "sheath_thickness_m": None,
+                  "constant_level": None}
+# where the physics leaves floating-point range: squares under- or
+# overflow, densities overflow the plasma frequency
+EXTREME_FLOATS = [0.0, 5e-324, 1e-300, 1e-160, 1e160, 1e300, 1.7e308]
+
+
+class TestBuildChannel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries(
+        {name: st.floats() | st.just(valid) | st.sampled_from(EXTREME_FLOATS)
+         for name, valid in CHANNEL_FLOATS.items()}),
+        st.sampled_from(["sinusoid", "linear_sweep", "constant"]),
+        st.booleans(), st.booleans())
+    def test_finite_gains_or_config_error(self, values, profile, angular,
+                                          drude):
+        # NaN and inf included: the config passes them on, and the
+        # physics must reject what it cannot turn into finite gains
+        config = ExperimentConfig(frame_length=64, pilot_intervals=(16,),
+                                  profile=profile,
+                                  frequencies_are_angular=angular,
+                                  standard_drude_loss=drude, **values)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, gains = build_channel(config)
+        except ConfigError:
+            return
+        assert gains.shape == (64,) and np.all(np.isfinite(gains))
 
 
 class TestSnrPlumbing:
@@ -444,6 +481,8 @@ class TestCli:
         ("ser-sweep", "profile = constant\nconstant_level = 1e25\n", []),
         ("ser-sweep", "carrier_freq_hz = 1e300\n", []),
         ("ser-sweep", "collision_freq_hz = 1e300\n", []),
+        ("ser-sweep", "carrier_freq_hz = 1e-300\ncollision_freq_hz = 0\n", []),
+        ("ser-sweep", "n_e_max = 1.7e308\n", []),
     ], ids=["no-receivers", "no-intervals", "nan-snr", "snapshots-no-snr",
             "fading-no-snr", "duplicate-snr", "zero-interval",
             "interval-over-frame", "huge-snr", "colliding-snr",
@@ -455,7 +494,7 @@ class TestCli:
             "density-min-nan", "density-max-inf", "negative-seed",
             "negative-seed-flag", "zero-symbol-rate", "zero-oscillation",
             "nan-oscillation", "constant-level-outside", "huge-carrier",
-            "huge-collision"])
+            "huge-collision", "tiny-carrier", "huge-density"])
     def test_bad_config_exit_two(self, tmp_path, capsys, command,
                                  config_text, flags):
         # a short base run, so a check that lets the input through fails

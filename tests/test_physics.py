@@ -243,6 +243,36 @@ class TestCalibration:
         assert q.carrier_angular_freq == pytest.approx(2 * math.pi * 9e9)
 
 
+class TestValidation:
+    """The physics is the one layer that checks the channel fields."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(sheath_thickness=0.0),
+        dict(sheath_thickness=math.inf),
+        dict(carrier_freq=math.nan),
+        dict(collision_freq=math.inf),
+        dict(density_range=(1e22, math.inf)),
+        dict(density_range=(math.nan, 6e23)),
+        dict(density_range=(1e22, 1.7e308)),
+        dict(gain_floor=1.5, sheath_thickness=1e-3),
+        dict(gain_floor=math.nan, sheath_thickness=1e-3),
+    ], ids=["zero-thickness", "inf-thickness", "nan-carrier",
+            "inf-collision", "inf-density", "nan-density",
+            "attenuation-overflows",
+            "gain-floor-1.5-given-thickness",
+            "gain-floor-nan-given-thickness"])
+    def test_reference_params_reject(self, kwargs):
+        with pytest.raises(ConfigError), np.errstate(all="ignore"):
+            reference_channel_params(**kwargs)
+
+    @pytest.mark.parametrize("field", ["symbol_rate", "oscillation_freq",
+                                       "phase_offset"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_trajectory_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigError):
+            DensityTrajectory(**{field: value})
+
+
 def test_constants_positive():
     with pytest.raises(ValueError):
         physics.PhysicalConstants(electron_charge=-1.0)
