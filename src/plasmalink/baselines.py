@@ -19,9 +19,12 @@ from .link import Constellation, Frame, ReceivedSequence
 from .net import (
     adam_step,
     init_adam,
+    mlp_activations,
     mlp_backward,
     mlp_forward,
+    mlp_input,
     mlp_layers,
+    mlp_order,
     param_count,
 )
 from .seeding import role_rng
@@ -124,13 +127,15 @@ def supervised_dnn(received, frame, constellation: Constellation, rng_seed,
     seeds = [rng_seed] if single else list(rng_seed)
     k = constellation.order
     widths = (2, config.hidden_units, config.hidden_units, k)
+    # the flat draws gathered into augmented order once: Adam is
+    # elementwise, so training in that order is training in the flat one
     params = config.init_std * np.stack(
         [role_rng(seed, "dnn").standard_normal(param_count(widths))
-         for seed in seeds])
+         for seed in seeds]).take(mlp_order(widths), axis=1)
 
     # feature-major: one column per sample, one stack entry per cell
-    x_train = np.stack([rx.iq()[f.pilot_positions].T
-                        for rx, f in zip(cells, frames)])
+    x_train = mlp_input(np.stack([rx.iq()[f.pilot_positions].T
+                                  for rx, f in zip(cells, frames)]))
     n = x_train.shape[-1]
     onehot = np.zeros((len(cells), k, n))
     for hot, f in zip(onehot, frames):
@@ -138,11 +143,13 @@ def supervised_dnn(received, frame, constellation: Constellation, rng_seed,
 
     state = init_adam(params)
     grads = np.empty_like(params)
-    # layer views bound once; each Adam result is copied into params
+    # layer views and activation buffers bound once; each Adam result is
+    # copied into params
     layers = mlp_layers(widths, params)
     grad_layers = mlp_layers(widths, grads)
+    acts = mlp_activations(layers, x_train)
     for _ in range(config.steps):
-        logits, cache = mlp_forward(layers, x_train)
+        logits, cache = mlp_forward(layers, x_train, acts)
         # mean cross-entropy gradient
         g_logits = (_softmax(logits) - onehot) / n
         mlp_backward(layers, cache, g_logits, grad_layers, input_grad=False)
@@ -154,7 +161,7 @@ def supervised_dnn(received, frame, constellation: Constellation, rng_seed,
     results = []
     for c, rx in enumerate(cells):
         logits, _ = mlp_forward(mlp_layers(widths, params[c:c + 1]),
-                                np.ascontiguousarray(rx.iq().T))
+                                mlp_input(rx.iq().T))
         results.append(BaselineResult(name="supervised_dnn",
                                       decisions=np.argmax(logits[0], axis=0)))
     return results[0] if single else tuple(results)

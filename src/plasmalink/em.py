@@ -38,6 +38,7 @@ from .link import Constellation, Frame, ReceivedSequence
 # importable from this module because the benchmark's tracer
 # (perfbench/spans.py) patches them as attributes of it.
 from .net import (  # noqa: F401
+    Batch,
     SmnModel,
     adam_step,
     collect_params,
@@ -218,11 +219,13 @@ def _cell_model(model: SmnModel, cell: int) -> SmnModel:
 def _train(model: SmnModel, y: np.ndarray, w: np.ndarray, steps: int,
            learning_rate: float, step_hook=None) -> SmnModel:
     """Fresh-Adam full-batch run on the weighted projection error of a
-    group; the parameters of the (private) model are updated in place."""
+    group; the parameters of the (private) model are updated in place.
+    The rows are laid out once, as one Batch, for every step."""
     params = model.params
     state = init_adam(params)
+    batch = Batch(model, y, w)
     for step in range(steps):
-        _, grads = loss_and_gradients(model, y, w)
+        _, grads = loss_and_gradients(model, batch)
         new_params, state = adam_step(params, grads, state,
                                       learning_rate=learning_rate)
         np.copyto(params, new_params)
@@ -442,6 +445,8 @@ def fit(received, frame, constellation: Constellation,
                 f"{before[c]:.12g} -> {after[c]:.12g}"
                 + ("" if single else f" (cell {c} of the group)"))
         loss_before = _weighted_mean(d2, w)
+        # spent: freed so that it and the M-step's batch never coexist
+        del d2
         model, loss_after, d2 = _m_step(model, y, w, schedule)
         record("em", it, before, after, loss_before, loss_after,
                model.noise_variance)

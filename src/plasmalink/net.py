@@ -22,26 +22,41 @@ t = tan(theta / 2) and q = rho / (1 + t^2),
     rho cos(theta) = q (1 - t^2),    rho sin(theta) = 2 q t
 
 NumPy evaluates float64 tan as a vectorised loop but sin and cos through
-scalar libm calls, so one tan costs a fraction of a sin and a cos. Because
-T_k is a complex multiplication, the backward pass needs neither T_k^T nor
-the angle: with proj = x_k rho e^{i theta} and g = dL/d(proj),
+scalar libm calls, so one tan costs a fraction of a sin and a cos.
 
-    dL/d(radius logit) = (1 - rho) <proj, g>
-    dL/d(theta)        = proj x g          (the 2-D cross product)
+Training works in the canonical frame. For a unit-modulus (PSK) symbol,
+T_k is a rotation, so ||y - x_k p|| = ||conj(x_k) y - p|| for the
+canonical point p = rho e^{i theta}: the loss compares p with the
+derotated rows u_k = conj(x_k) y, which a Batch forms once per Adam run,
+and a training step never rotates p. Rotation does not change <p, g> or
+the 2-D cross product p x g, so with g = dL/dp the backward pass needs
+neither T_k nor the angle:
+
+    dL/d(radius logit) = (1 - rho) <p, g>
+    dL/d(theta)        = p x g
+
+project_all, whose callers want points on the curves, does rotate by x_k.
 
 Everything here is plain numpy with hand-written backprop. All trainable
 parameters live in one flat float64 vector: encoder 0, ..., encoder K-1,
 then the decoder; within each MLP, layer by layer, the (fan_out, fan_in)
-weight matrix in row-major order followed by the bias. Model and optimizer
-updates are functional (new objects out, inputs untouched).
+weight matrix in row-major order followed by the bias: the order
+init_model draws and Adam updates. Model and optimizer updates are
+functional (new objects out, inputs untouched). The MLP kernel reads the
+parameters in augmented order instead (mlp_order): each layer one
+(fan_out, fan_in + 1) matrix [W | b], gathered from the flat vector by one
+np.take, and every layer input carries a constant ones row below its
+features (mlp_input), so a layer is one matmul with its bias folded in,
+and its bias gradient the last column of the weight-gradient matmul.
 
-The MLP kernel runs S networks of one shape at once: their flat blocks are
-the rows of an (S, P) array, every layer's weights an (S, fan_out, fan_in)
-view (mlp_layers), and batches are feature-major, (S, features, rows). The
-K encoder blocks are contiguous, so all K encoders run as one stack, and
-their K coordinate rows, side by side, take one pass of the shared decoder.
-There is one such pass: every projection, loss and gradient covers all K
-curves, and a caller that wants one symbol's curve per row gathers it from
+The MLP kernel runs S networks of one shape at once: their augmented
+blocks are the rows of an (S, P) array, every layer an
+(S, fan_out, fan_in + 1) view (mlp_layers), and batches are
+feature-major, (S, features + 1, rows). The K encoder blocks are
+contiguous, so all K encoders run as one stack, and their K coordinate
+rows, side by side, take one pass of the shared decoder. There is one
+such pass: every projection, loss and gradient covers all K curves, and a
+caller that wants one symbol's curve per row gathers it from
 project_all's (rows, K, 2) output or encode's (rows, K) coordinates.
 
 A lockstep group of C cells of one shape holds its parameters as (C, P)
@@ -56,11 +71,13 @@ pass per cell or few.
 The SMN passes write every temporary into preallocated buffers, one set
 per (cells, K, widths, rows) shape, kept in a small per-thread cache, so a
 training step reuses the same memory instead of paging in fresh arrays.
-Each set also owns a parameter buffer laid out like the parameters of its
-stack, with the layer views of it and of its gradient built once; a pass
-starts by copying the model's parameters in. Every buffer is written
-before it is read, so earlier calls never change a result, and what a
-public function returns is always a fresh array.
+Each set also owns a parameter buffer in augmented order, with the layer
+views of it and of its gradient built once; a pass starts by gathering
+the model's parameters in and ends by scattering the gradient back to the
+flat order. Every buffer is written before it is read, except the ones
+rows, which are written when the buffer is made and never again, so
+earlier calls never change a result, and what a public function returns
+is always a fresh array.
 """
 
 from __future__ import annotations
@@ -82,12 +99,16 @@ __all__ = [
     "symbol_transforms",
     "param_count",
     "init_model",
+    "mlp_order",
     "mlp_layers",
+    "mlp_input",
+    "mlp_activations",
     "mlp_forward",
     "mlp_backward",
     "project_all",
     "encode",
     "decode_curve",
+    "Batch",
     "weighted_loss",
     "loss_and_gradients",
     "collect_params",
@@ -149,19 +170,59 @@ def init_model(constellation: Constellation, rng_seed: int,
                     noise_variance=float(noise_variance))
 
 
+def mlp_order(widths) -> np.ndarray:
+    """Index that lays a flat MLP block out in augmented order: layer by
+    layer, the (fan_out, fan_in + 1) matrix [W | b] row-major, so
+    block.take(mlp_order(widths), axis=-1) is what mlp_layers views; its
+    inverse permutation gathers the flat order back."""
+    parts, pos = [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        bias = pos + fan_out * fan_in
+        parts.append(np.hstack([
+            np.arange(pos, bias).reshape(fan_out, fan_in),
+            np.arange(bias, bias + fan_out)[:, None]]).ravel())
+        pos = bias + fan_out
+    return np.concatenate(parts)
+
+
 def mlp_layers(widths, blocks):
-    """(weights, bias) views of every layer of stacked flat blocks
-    (..., P): weights (..., fan_out, fan_in), bias (..., fan_out, 1)."""
+    """[W | b] views of every layer of stacked augmented blocks (..., P)
+    (see mlp_order): (..., fan_out, fan_in + 1) each."""
     layers, pos = [], 0
     lead = blocks.shape[:-1]
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        end = pos + fan_out * fan_in
+        end = pos + fan_out * (fan_in + 1)
         # copy=False raises rather than copy: gradients are written here
-        layers.append((blocks[..., pos:end].reshape(*lead, fan_out, fan_in,
-                                                    copy=False),
-                       blocks[..., end:end + fan_out, None]))
-        pos = end + fan_out
+        layers.append(blocks[..., pos:end].reshape(*lead, fan_out,
+                                                   fan_in + 1, copy=False))
+        pos = end
     return layers
+
+
+def _ones_row(shape) -> np.ndarray:
+    """A buffer of this (..., features + 1, n) shape whose last feature row
+    is ones and the rest unwritten."""
+    a = np.empty(shape)
+    a[..., -1, :] = 1.0
+    return a
+
+
+def mlp_input(x: np.ndarray) -> np.ndarray:
+    """Feature-major rows (..., features, n) with the ones row appended,
+    as every layer input carries it."""
+    a = _ones_row(x.shape[:-2] + (x.shape[-2] + 1, x.shape[-1]))
+    a[..., :-1, :] = x
+    return a
+
+
+def mlp_activations(layers, x: np.ndarray):
+    """Fresh output buffers of every layer for the input x (see
+    mlp_forward); the hidden ones carry their ones row."""
+    lead = np.broadcast_shapes(layers[0].shape[:-2], x.shape[:-2])
+    n = x.shape[-1]
+    return ([_ones_row(lead + (layer.shape[-2] + 1, n))
+             for layer in layers[:-1]]
+            + [np.empty(lead + (layers[-1].shape[-2], n))])
 
 
 def mlp_forward(layers, x: np.ndarray, acts=None):
@@ -169,28 +230,25 @@ def mlp_forward(layers, x: np.ndarray, acts=None):
     except the last.
 
     layers are the mlp_layers views of the stack's parameters, with any
-    leading stack dimensions, and x the feature-major input,
-    (..., fan_in, n), broadcast against the stack. Layer outputs are
-    written into acts, one (..., fan_out, n) buffer per layer, when given,
-    else into fresh arrays. Returns (output, cache); output is
-    (..., fan_out, n) and cache holds x and every layer's output.
+    leading stack dimensions, and x the feature-major input with its ones
+    row (mlp_input), (..., fan_in + 1, n), broadcast against the stack.
+    Each layer is one matmul, its bias folded in. Layer outputs are written
+    into acts (mlp_activations), else into fresh buffers; a hidden layer's
+    output keeps its ones row below, as the next layer's input. Returns
+    (output, cache); output is (..., fan_out, n) and cache holds x and
+    every layer's output.
     """
     if acts is None:
-        acts = [np.empty(np.broadcast_shapes(weights.shape[:-2],
-                                             x.shape[:-2])
-                         + (weights.shape[-2], x.shape[-1]))
-                for weights, _ in layers]
+        acts = mlp_activations(layers, x)
     a, cache = x, [x]
     last = len(layers) - 1
-    for idx, ((weights, bias), z) in enumerate(zip(layers, acts)):
-        # a fan-in-1 layer is an outer product: broadcast, not matmul
-        if weights.shape[-1] == 1:
-            np.multiply(weights, a, out=z)
+    for idx, (layer, z) in enumerate(zip(layers, acts)):
+        if idx == last:
+            np.matmul(layer, a, out=z)
         else:
-            np.matmul(weights, a, out=z)
-        z += bias
-        if idx != last:
-            np.tanh(z, out=z)
+            out = z[..., :-1, :]
+            np.matmul(layer, a, out=out)
+            np.tanh(out, out=out)
         a = z
         cache.append(a)
     return a, cache
@@ -199,33 +257,34 @@ def mlp_forward(layers, x: np.ndarray, acts=None):
 def mlp_backward(layers, cache, g_out, grads, g_ins=None, input_grad=True):
     """Backprop dL/d(output), shape (..., fan_out, n), through the stack.
 
-    Writes dL/dW and dL/db into grads, the mlp_layers views of a gradient
-    laid out like the parameters, and returns dL/d(input), shape
-    (..., fan_in, n), or None without input_grad, which skips the first
-    layer's input gradient. g_ins, when given, holds per layer the
-    (..., fan_in, n) buffer its input gradient goes to. The tanh derivative
-    1 - a^2 is formed in place of the cached hidden activations, so the
-    cache is spent afterwards.
+    Writes dL/d[W | b] into grads, the mlp_layers views of a gradient laid
+    out like the parameters (the ones row makes the bias gradient the last
+    column of one matmul), and returns dL/d(input), shape (..., fan_in, n),
+    or None without input_grad, which skips the first layer's input
+    gradient. g_ins, when given, holds per layer the (..., fan_in, n)
+    buffer its input gradient goes to. The tanh derivative 1 - a^2 is
+    formed in place of the cached hidden activations, above their ones
+    rows, so the cache is spent afterwards.
     """
     g = g_out
     for idx in range(len(layers) - 1, -1, -1):
         a = cache[idx]
-        g_weights, g_bias = grads[idx]
-        np.matmul(g, a.mT, out=g_weights)
-        np.add.reduce(g, axis=-1, keepdims=True, out=g_bias)
+        np.matmul(g, a.mT, out=grads[idx])
         if idx == 0 and not input_grad:
             return None
-        weights = layers[idx][0]
+        weights = layers[idx][..., :-1]
         g_in = (np.empty(g.shape[:-2] + (weights.shape[-1], g.shape[-1]))
                 if g_ins is None else g_ins[idx])
+        # a fan-out-1 layer's input gradient is an outer product
         if weights.shape[-2] == 1:
             np.multiply(weights.mT, g, out=g_in)
         else:
             np.matmul(weights.mT, g, out=g_in)
-        if idx:  # a is a hidden tanh output
-            np.multiply(a, a, out=a)
-            np.subtract(1.0, a, out=a)
-            g_in *= a
+        if idx:  # a is a hidden tanh output above its ones row
+            h = a[..., :-1, :]
+            np.multiply(h, h, out=h)
+            np.subtract(1.0, h, out=h)
+            g_in *= h
         g = g_in
     return g
 
@@ -264,48 +323,59 @@ class _Workspace:
 
     def __init__(self, cells, curves, encoder_widths, decoder_widths, rows):
         c, s, m, n = cells, curves, rows, curves * rows
-        # per cell the K encoders, then the decoder, laid out like
-        # SmnModel.params; the layer views of the parameters and the
-        # gradient are built once
-        enc_size = param_count(encoder_widths)
-        split = s * enc_size
-        size = split + param_count(decoder_widths)
+        # per cell the K encoders, then the decoder, in augmented order;
+        # gather takes a cell's flat parameters into it, scatter a
+        # gradient back. The layer views are built once.
+        enc = mlp_order(encoder_widths)
+        split = s * len(enc)
+        self.gather = np.concatenate(
+            [(np.arange(s)[:, None] * len(enc) + enc).ravel(),
+             split + mlp_order(decoder_widths)])
+        size = len(self.gather)
+        # the inverse permutation (np.argsort would page in the sort code)
+        self.scatter = np.empty_like(self.gather)
+        self.scatter[self.gather] = np.arange(size)
         self.params, self.grad = np.empty((c, size)), np.empty((c, size))
         self.enc_layers = mlp_layers(
-            encoder_widths, self.params[:, :split].reshape(c, s, enc_size))
+            encoder_widths, self.params[:, :split].reshape(c, s, len(enc)))
         self.dec_layers = mlp_layers(decoder_widths, self.params[:, split:])
         self.enc_grads = mlp_layers(
-            encoder_widths, self.grad[:, :split].reshape(c, s, enc_size))
+            encoder_widths, self.grad[:, :split].reshape(c, s, len(enc)))
         self.dec_grads = mlp_layers(decoder_widths, self.grad[:, split:])
         self.finite = np.empty(self.grad.shape, dtype=bool)
-        self.yt = np.empty((c, 1, 2, m))  # one cell's rows for all curves
-        self.wt = np.empty((c, s, m))
-        self.enc_acts = [np.empty((c, s, w, m)) for w in encoder_widths[1:]]
-        # a cell's coordinates side by side
-        self.lam = self.enc_acts[-1].reshape(c, 1, n)
-        self.dec_acts = [np.empty((c, w, n)) for w in decoder_widths[1:]]
+        # the decoder input: a cell's coordinates side by side, which the
+        # encoders' last layer writes, over the ones row
+        self.lam = _ones_row((c, 2, n))
+        self.enc_acts = ([_ones_row((c, s, w + 1, m))
+                          for w in encoder_widths[1:-1]]
+                         + [self.lam[:, :1].reshape(c, s, 1, m, copy=False)])
+        self.dec_acts = ([_ones_row((c, w + 1, n))
+                          for w in decoder_widths[1:-1]]
+                         + [np.empty((c, decoder_widths[-1], n))])
         # decoder outputs per curve: radius logit, then radius, then the
         # gradient at the logit; angle, then scratch, then the gradient at
         # the angle
         self.rho = self.dec_acts[-1][:, 0].reshape(c, s, m)
         self.angle = self.dec_acts[-1][:, 1].reshape(c, s, m)
-        self.proj = np.empty((c, s, 2, m))
-        self.tmp = np.empty((c, s, m))
-        self.tmp2 = np.empty((c, s, m))
         self.mask = np.empty((c, s, m), dtype=bool)
-        # input gradients: the decoder's goes to tmp. Its backward pass
-        # ends before the encoders' starts, so at each hidden depth the two
-        # share one buffer of c * n * (the wider of the two layers) floats.
-        # The first also holds proj - y, then dL/d(proj), which are spent
-        # before the backward pass starts.
+        # input gradients: the decoder's goes to the radius row of its
+        # output, spent by then. Its backward pass ends before the
+        # encoders' starts, so at each hidden depth the two share one
+        # buffer of c * n * (the wider of the two layers) floats. The first
+        # also holds five (c, s, m) arrays, spent before the backward pass
+        # starts: the canonical curve point (tmp, tmp2), then three scratch
+        # arrays of the loss head (residuals, then their gradients) or
+        # project_all's projections.
         hidden = (encoder_widths[1:-1], decoder_widths[1:-1])
         widest = [max(pair) for pair in zip_longest(*hidden, fillvalue=0)]
-        widest[0] = max(widest[0], 2)
+        widest[0] = max(widest[0], 5)
         shared = [np.empty(c * n * w) for w in widest]
-        self.resid = shared[0][:c * n * 2].reshape(c, s, 2, m)
+        self.tmp, self.tmp2, *self.scratch = shared[0][:5 * c * n].reshape(
+            5, c, s, m)
+        self.proj = shared[0][2 * c * n:4 * c * n].reshape(c, s, 2, m)
         self.enc_g_ins = [None] + [buf[:c * n * w].reshape(c, s, w, m)
                                    for buf, w in zip(shared, hidden[0])]
-        self.dec_g_ins = [self.tmp.reshape(c, 1, n)] + [
+        self.dec_g_ins = [self.dec_acts[-1][:, :1]] + [
             buf[:c * n * w].reshape(c, w, n)
             for buf, w in zip(shared, hidden[1])]
 
@@ -351,26 +421,17 @@ def _passes(cells: int, curves: int, rows: int):
     return [slice(i, min(i + per, cells)) for i in range(0, cells, per)]
 
 
-def _forward(model: SmnModel, params: np.ndarray, ws: _Workspace):
-    """Projections of the rows in ws.yt onto every curve of the cells whose
-    (cells, P) parameters are given, into ws.proj. Returns the MLP caches
-    of the encoders and of the decoder."""
-    np.copyto(ws.params, params)
-    _, enc_cache = mlp_forward(ws.enc_layers, ws.yt, ws.enc_acts)
+def _forward(params: np.ndarray, x: np.ndarray, ws: _Workspace):
+    """Canonical curve points, on every curve of the cells whose (cells, P)
+    parameters are given, of their rows x, (cells, 1, 3, m) with the ones
+    row, into ws.tmp and ws.tmp2. Returns the MLP caches of the encoders
+    and of the decoder."""
+    np.take(params, ws.gather, axis=1, out=ws.params, mode="clip")
+    _, enc_cache = mlp_forward(ws.enc_layers, x, ws.enc_acts)
     _, dec_cache = mlp_forward(ws.dec_layers, ws.lam, ws.dec_acts)
-    rho, cart0, cart1 = ws.rho, ws.tmp, ws.tmp2
-    _sigmoid(rho, rho, cart1, ws.mask)
-    _polar(rho, ws.angle, cart0, cart1)
-    # proj = x_k * cart in complex form
-    re = model.transforms[:, 0, :1]
-    im = model.transforms[:, 1, :1]
-    p0, p1, tmp = ws.proj[:, :, 0], ws.proj[:, :, 1], ws.angle
-    np.multiply(re, cart0, out=p0)
-    np.multiply(im, cart1, out=tmp)
-    p0 -= tmp
-    np.multiply(im, cart0, out=p1)
-    np.multiply(re, cart1, out=tmp)
-    p1 += tmp
+    rho, p0, p1 = ws.rho, ws.tmp, ws.tmp2
+    _sigmoid(rho, rho, p1, ws.mask)
+    _polar(rho, ws.angle, p0, p1)
     return enc_cache, dec_cache
 
 
@@ -388,12 +449,23 @@ def project_all(model: SmnModel, y: np.ndarray) -> np.ndarray:
     (m, C, K, 2) for a group's (m, C, 2) rows."""
     y, _ = _cells_view(model, np.asarray(y, dtype=float))
     m, c = y.shape[:2]
+    x = mlp_input(y.transpose(1, 2, 0)[:, None])
     params = _cell_params(model)
+    re = model.transforms[:, 0, :1]
+    im = model.transforms[:, 1, :1]
     proj = np.empty((m, c, model.order, 2))
     for part in _passes(c, model.order, m):
         ws = _workspace(model, part.stop - part.start, m)
-        np.copyto(ws.yt[:, 0], y[:, part].transpose(1, 2, 0))
-        _forward(model, params[part], ws)
+        _forward(params[part], x[part], ws)
+        # x_k p in complex form; the angle, spent, is scratch
+        p0, p1, tmp = ws.tmp, ws.tmp2, ws.angle
+        q0, q1 = ws.proj[:, :, 0], ws.proj[:, :, 1]
+        np.multiply(re, p0, out=q0)
+        np.multiply(im, p1, out=tmp)
+        q0 -= tmp
+        np.multiply(im, p0, out=q1)
+        np.multiply(re, p1, out=tmp)
+        q1 += tmp
         np.copyto(proj[:, part], ws.proj.transpose(3, 0, 1, 2))
     return proj[:, 0] if model.params.ndim == 1 else proj
 
@@ -401,9 +473,11 @@ def project_all(model: SmnModel, y: np.ndarray) -> np.ndarray:
 def encode(model: SmnModel, y: np.ndarray) -> np.ndarray:
     """Curve coordinates of one cell's (m, 2) IQ rows under every symbol's
     encoder, (m, K): the K encoders as one stack."""
+    widths = model.encoder_widths
     blocks = model.params[:model.decoder_slice.start].reshape(model.order, -1)
-    lam, _ = mlp_forward(mlp_layers(model.encoder_widths, blocks),
-                         np.ascontiguousarray(np.asarray(y, dtype=float).T))
+    lam, _ = mlp_forward(
+        mlp_layers(widths, blocks.take(mlp_order(widths), axis=1)),
+        mlp_input(np.asarray(y, dtype=float).T))
     return lam[:, 0].T
 
 
@@ -413,11 +487,11 @@ def decode_curve(model: SmnModel, lam_grid: np.ndarray) -> np.ndarray:
     Returns (K, len(lam_grid), 2); row k is T_k applied to the canonical
     curve, so the K polylines are rigid copies of one another.
     """
-    lam = np.asarray(lam_grid, dtype=float).reshape(1, 1, -1)
-    layers = mlp_layers(model.decoder_widths,
-                        model.params[None, model.decoder_slice])
-    u, _ = mlp_forward(layers, lam)
-    rho, angle = u[0]
+    widths = model.decoder_widths
+    block = model.params[model.decoder_slice].take(mlp_order(widths))
+    u, _ = mlp_forward(mlp_layers(widths, block),
+                       mlp_input(np.asarray(lam_grid, dtype=float)[None]))
+    rho, angle = u
     cart = np.empty((2, rho.size))
     _sigmoid(rho, rho, cart[0], np.empty(rho.shape, dtype=bool))
     _polar(rho, angle, cart[0], cart[1])
@@ -437,16 +511,74 @@ def _check_batch(model, y, w):
     return y, w
 
 
-def weighted_loss(model: SmnModel, y: np.ndarray, w: np.ndarray):
-    """(1/m) sum_i sum_k w_ik ||y_i - proj_k(y_i)||^2; for a group, an
-    array with one such loss per cell."""
-    y, w = _check_batch(model, y, w)
-    proj = project_all(model, y)
-    d2 = np.sum((y[..., None, :] - proj) ** 2, axis=-1)
-    # each cell's rows contiguous, so a cell's mean sums like one cell's
-    per_row = np.ascontiguousarray(np.sum(w * d2, axis=-1).T)
-    loss = np.mean(per_row, axis=-1)
-    return float(loss) if model.params.ndim == 1 else loss
+class Batch:
+    """The training rows of one cell or of a group, laid out once for the
+    SMN pass, which then reads them at every step of an Adam run.
+
+    Built from (model, y, w) as loss_and_gradients takes them; holds its
+    own copies, cell-major:
+
+      x  the rows, feature-major with the ones row, (C, 1, 3, m)
+      u  each curve's derotated rows conj(x_k) y, (2, C, K, m)
+      w  the weights times 2/m, (C, K, m)
+
+    The pass compares the decoder's canonical point p with u_k: for a
+    unit-modulus symbol ||y - x_k p|| = ||conj(x_k) y - p||, so a model
+    whose transforms are not rotations is refused. len() is the row count.
+    """
+
+    __slots__ = ("x", "u", "w", "rows")
+
+    def __init__(self, model: SmnModel, y, w):
+        y, w = _cells_view(model, *_check_batch(model, y, w))
+        t = model.transforms
+        if not np.abs(np.hypot(t[:, 0, 0], t[:, 1, 0]) - 1.0).max() <= 1e-12:
+            raise ValueError("the symbol transforms must be unit-modulus "
+                             "to 1e-12")
+        m, c = y.shape[:2]
+        yt = y.transpose(1, 2, 0)[:, None]
+        self.x = mlp_input(yt)
+        # T_k^T is multiplication by conj(x_k); each IQ component of u is
+        # one contiguous (C, K, m) block
+        self.u = np.empty((2, c, model.order, m))
+        np.matmul(t.mT, yt, out=self.u.transpose(1, 2, 0, 3))
+        self.w = np.empty((c, model.order, m))
+        np.copyto(self.w, w.transpose(1, 2, 0))
+        self.w *= 2.0 / m
+        self.rows = m
+
+    def __len__(self) -> int:
+        return self.rows
+
+
+def _run(model: SmnModel, batch: Batch, gradients: bool):
+    """The SMN pass over every cell of a batch: the (C,) losses, and the
+    (C, P) gradient or None."""
+    params = _cell_params(model)
+    c, m = len(params), len(batch)
+    if batch.w.shape[:2] != (c, model.order):
+        raise ValueError(f"batch of {batch.w.shape[:2]} cells x curves "
+                         f"for a model of {(c, model.order)}")
+    loss = np.empty(c)
+    grad = np.empty(params.shape) if gradients else None
+    for part in _passes(c, model.order, m):
+        ws = _workspace(model, part.stop - part.start, m)
+        loss[part] = _loss_pass(params[part], batch, part, ws, gradients)
+        if gradients:
+            if not (np.isfinite(loss[part]).all()
+                    and np.isfinite(ws.grad, out=ws.finite).all()):
+                raise NonFiniteError("loss or gradient overflowed to NaN/Inf")
+            np.take(ws.grad, ws.scatter, axis=1, out=grad[part], mode="clip")
+    return loss, grad
+
+
+def weighted_loss(model: SmnModel, y, w=None):
+    """(1/m) sum_i sum_k w_ik ||y_i - proj_k(y_i)||^2, the loss of the
+    training pass, of a Batch or of arrays y and w as loss_and_gradients
+    takes them; for a group, an array with one such loss per cell."""
+    batch = y if isinstance(y, Batch) else Batch(model, y, w)
+    loss, _ = _run(model, batch, gradients=False)
+    return float(loss[0]) if model.params.ndim == 1 else loss
 
 
 def collect_params(model: SmnModel) -> np.ndarray:
@@ -463,68 +595,63 @@ def with_params(model: SmnModel, params) -> SmnModel:
     return replace(model, params=params)
 
 
-def loss_and_gradients(model: SmnModel, y: np.ndarray, w: np.ndarray):
+def loss_and_gradients(model: SmnModel, y, w=None):
     """Weighted reconstruction loss and its gradient, laid out like the
     parameters.
 
-    For one cell's model, y is (m, 2) and w (m, K), and the result a float
-    and a flat vector. For a group, whose parameters are (C, P), y is
-    (m, C, 2) and w (m, C, K), and the result one loss per cell, (C,), and
-    one gradient row per cell, (C, P). The shared decoder's gradient sums
-    the contributions of every symbol curve; the fixed transforms get none.
+    Takes a Batch built for the model, or the arrays it is built from: for
+    one cell's model, y is (m, 2) and w (m, K), and the result a float and
+    a flat vector. For a group, whose parameters are (C, P), y is (m, C, 2)
+    and w (m, C, K), and the result one loss per cell, (C,), and one
+    gradient row per cell, (C, P). The shared decoder's gradient sums the
+    contributions of every symbol curve; the fixed transforms get none.
     Raises NonFiniteError if anything overflows to NaN/Inf.
     """
-    y, w = _cells_view(model, *_check_batch(model, y, w))
-    m, c = y.shape[:2]
-    params = _cell_params(model)
-    loss, grad = np.empty(c), np.empty(params.shape)
-    for part in _passes(c, model.order, m):
-        ws = _workspace(model, part.stop - part.start, m)
-        np.copyto(ws.yt[:, 0], y[:, part].transpose(1, 2, 0))
-        np.copyto(ws.wt, w[:, part].transpose(1, 2, 0))
-        loss[part] = _loss_pass(model, params[part], ws)
-        if not (np.isfinite(loss[part]).all()
-                and np.isfinite(ws.grad, out=ws.finite).all()):
-            raise NonFiniteError("loss or gradient overflowed to NaN/Inf")
-        grad[part] = ws.grad
+    batch = y if isinstance(y, Batch) else Batch(model, y, w)
+    loss, grad = _run(model, batch, gradients=True)
     if model.params.ndim == 1:
         return float(loss[0]), grad[0]
     return loss, grad
 
 
-def _loss_pass(model: SmnModel, params: np.ndarray, ws: _Workspace):
-    """One pass of loss_and_gradients over the cells whose parameters are
-    given; writes their gradient into ws.grad and returns their losses."""
-    c, _, m = ws.wt.shape
-    enc_cache, dec_cache = _forward(model, params, ws)
+def _loss_pass(params: np.ndarray, batch: Batch, part: slice,
+               ws: _Workspace, gradients: bool):
+    """One pass over the cells of a batch in part, whose parameters are
+    given: returns their losses and, with gradients, writes their gradient
+    in augmented order into ws.grad. Works in the canonical frame, on the
+    residual p - u_k (see Batch)."""
+    c = part.stop - part.start
+    enc_cache, dec_cache = _forward(params, batch.x[part], ws)
+    p0, p1, rho, angle = ws.tmp, ws.tmp2, ws.rho, ws.angle
+    d0, d1, tmp = ws.scratch
+    w = batch.w[part]
+    np.subtract(p0, batch.u[0, part], out=d0)
+    np.subtract(p1, batch.u[1, part], out=d1)
+    # angle holds tan(theta/2), spent: scratch until the angle gradient
+    np.multiply(d0, d0, out=tmp)
+    np.multiply(d1, d1, out=angle)
+    tmp += angle
+    tmp *= w
+    loss = tmp.reshape(c, -1).sum(axis=1) * 0.5
+    if not gradients:
+        return loss
 
-    g, tmp, tmp2 = ws.resid, ws.tmp, ws.tmp2
-    np.subtract(ws.proj, ws.yt, out=g)
-    np.multiply(g[:, :, 0], g[:, :, 0], out=tmp)
-    np.multiply(g[:, :, 1], g[:, :, 1], out=tmp2)
-    tmp += tmp2
-    tmp *= ws.wt
-    loss = tmp.reshape(c, -1).sum(axis=1) / m
-
-    np.multiply(ws.wt, 2.0 / m, out=tmp)
-    np.multiply(g, tmp[:, :, None, :], out=g)
-    p0, p1 = ws.proj[:, :, 0], ws.proj[:, :, 1]
-    g0, g1 = g[:, :, 0], g[:, :, 1]
-    # the decoder output gradient overwrites its output (see module doc)
-    g_angle, g_rho = ws.angle, ws.rho
-    np.multiply(p0, g1, out=g_angle)
+    # g = dL/dp, in place of the residual; the decoder output gradient
+    # overwrites its output (see module doc)
+    g0, g1 = np.multiply(d0, w, out=d0), np.multiply(d1, w, out=d1)
+    np.multiply(p0, g1, out=angle)
     np.multiply(p1, g0, out=tmp)
-    g_angle -= tmp
-    np.multiply(p0, g0, out=tmp)
-    np.multiply(p1, g1, out=tmp2)
-    tmp += tmp2
-    np.subtract(1.0, g_rho, out=tmp2)
-    np.multiply(tmp, tmp2, out=g_rho)
+    angle -= tmp
+    g0 *= p0
+    g1 *= p1
+    g0 += g1
+    np.subtract(1.0, rho, out=rho)
+    rho *= g0
 
     g_lam = mlp_backward(ws.dec_layers, dec_cache, ws.dec_acts[-1],
                          ws.dec_grads, ws.dec_g_ins)
     mlp_backward(ws.enc_layers, enc_cache,
-                 g_lam.reshape(c, model.order, 1, m), ws.enc_grads,
+                 g_lam.reshape(w.shape[:2] + (1, -1)), ws.enc_grads,
                  ws.enc_g_ins, input_grad=False)
     return loss
 

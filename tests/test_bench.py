@@ -504,8 +504,12 @@ class TestCli:
                 "em_iterations = 1\nmstep_steps = 5\n")
         (tmp_path / "run.txt").write_text(base + config_text)
         out = tmp_path / "out"
-        code = main([command, "--config", str(tmp_path / "run.txt"),
-                     "--outdir", str(out), *flags])
+        # pytest captures warnings; record them here, where they count
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(tmp_path / "run.txt"),
+                         "--outdir", str(out), *flags])
+        assert not caught, [str(w.message) for w in caught]
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -288,9 +288,9 @@ class TestFit:
         original = em_module.loss_and_gradients
         calls = []
 
-        def counting(model, y, w):
-            calls.append(len(y))
-            return original(model, y, w)
+        def counting(model, *args):
+            calls.append(len(args[0]))
+            return original(model, *args)
 
         monkeypatch.setattr(em_module, "loss_and_gradients", counting)
         schedule = EmSchedule(pretrain_steps=7, em_iterations=3,

@@ -7,6 +7,7 @@ paths fail independently if either is wrong.
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from plasmalink.exceptions import NonFiniteError
 from plasmalink.link import build_constellation
 import plasmalink.net as net
 from plasmalink.net import (
+    Batch,
     _polar,
     adam_step,
     collect_params,
@@ -28,6 +30,9 @@ from plasmalink.net import (
     init_adam,
     init_model,
     loss_and_gradients,
+    mlp_layers,
+    mlp_order,
+    param_count,
     project_all,
     symbol_transforms,
     weighted_loss,
@@ -443,3 +448,158 @@ class TestWorkspaces:
             loss_and_gradients(model, y, w)
         after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         assert after - before < 20
+
+
+def group_of(model, cells):
+    """A lockstep group of `cells` copies of a model's parameters."""
+    return replace(model, params=np.stack([model.params] * cells),
+                   noise_variance=np.ones(cells))
+
+
+class TestAugmentedOrder:
+    """The kernel reads each layer as one [W | b] matrix gathered from the
+    flat parameter vector, and writes the gradient back the same way."""
+
+    @pytest.mark.parametrize("widths", [(2, 4, 1), (1, 4, 2), (2, 16, 16, 4),
+                                        (2, 3, 7, 2)])
+    def test_layers_hold_weights_then_bias(self, widths):
+        flat = np.random.default_rng(len(widths)).normal(
+            size=param_count(widths))
+        aug = flat.take(mlp_order(widths))
+        pos = 0
+        for (fan_in, fan_out), layer in zip(zip(widths[:-1], widths[1:]),
+                                            mlp_layers(widths, aug)):
+            end = pos + fan_out * fan_in
+            np.testing.assert_array_equal(
+                layer[:, :-1], flat[pos:end].reshape(fan_out, fan_in))
+            np.testing.assert_array_equal(layer[:, -1],
+                                          flat[end:end + fan_out])
+            pos = end + fan_out
+        assert pos == flat.size
+
+    @pytest.mark.parametrize("widths", [(2, 4, 1), (1, 4, 2), (2, 16, 16, 4),
+                                        (2, 2, 2, 16)])
+    def test_gather_then_scatter_is_exact(self, widths):
+        # the DNN's widths (2, h, h, K) and the SMN's encoder and decoder
+        order = mlp_order(widths)
+        flat = np.random.default_rng(7).normal(size=(3, param_count(widths)))
+        assert sorted(order) == list(range(flat.shape[1]))
+        np.testing.assert_array_equal(
+            flat.take(order, axis=1).take(np.argsort(order), axis=1), flat)
+
+    @pytest.mark.parametrize("bits, hidden", [(1, 4), (2, 4), (4, 3)])
+    def test_workspace_round_trip_is_exact(self, bits, hidden):
+        model = init_model(build_constellation(bits), rng_seed=bits,
+                           hidden_units=hidden)
+        ws = net._workspace(model, 1, 16)
+        params = model.params[None]
+        np.testing.assert_array_equal(
+            params.take(ws.gather, axis=1).take(ws.scatter, axis=1), params)
+        # every encoder, then the decoder, in its own augmented order
+        enc = mlp_order(model.encoder_widths)
+        np.testing.assert_array_equal(ws.gather[:len(enc)], enc)
+        np.testing.assert_array_equal(
+            ws.gather[model.decoder_slice.start:],
+            model.decoder_slice.start + mlp_order(model.decoder_widths))
+
+
+class TestBatch:
+    """A Batch lays the rows out once for a whole Adam run; the array form
+    of loss_and_gradients is a Batch, then the same step."""
+
+    def test_batch_equals_arrays_one_cell(self):
+        model = init_model(build_constellation(2), rng_seed=50,
+                           init_std=0.5)
+        for m in (16, 1000):
+            y, w = make_batch(model, m, seed=m)
+            batch = Batch(model, y, w)
+            assert len(batch) == m
+            loss, grads = loss_and_gradients(model, batch)
+            want_loss, want_grads = loss_and_gradients(model, y, w)
+            assert loss == want_loss
+            np.testing.assert_array_equal(grads, want_grads)
+            assert weighted_loss(model, batch) == weighted_loss(model, y, w)
+
+    def test_batch_equals_arrays_group(self):
+        model = init_model(build_constellation(3), rng_seed=51,
+                           init_std=0.5)
+        group = group_of(model, 3)
+        group.params[1:] += 0.1 * np.arange(1, 3)[:, None]
+        rng = np.random.default_rng(52)
+        y = rng.normal(size=(40, 3, 2))
+        w = rng.uniform(size=(40, 3, 8))
+        batch = Batch(group, y, w)
+        assert len(batch) == 40
+        loss, grads = loss_and_gradients(group, batch)
+        want_loss, want_grads = loss_and_gradients(group, y, w)
+        np.testing.assert_array_equal(loss, want_loss)
+        np.testing.assert_array_equal(grads, want_grads)
+
+    def test_batch_keeps_its_rows(self):
+        model = init_model(build_constellation(2), rng_seed=53)
+        y, w = make_batch(model, 32, seed=54)
+        batch = Batch(model, y, w)
+        want = loss_and_gradients(model, batch)
+        y += 1.0
+        w *= 3.0
+        got = loss_and_gradients(model, batch)
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_batch_must_fit_the_model(self):
+        model = init_model(build_constellation(2), rng_seed=55)
+        batch = Batch(model, *make_batch(model, 8, seed=56))
+        with pytest.raises(ValueError):
+            loss_and_gradients(init_model(build_constellation(1), 55), batch)
+        with pytest.raises(ValueError):
+            loss_and_gradients(group_of(model, 2), batch)
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, 0.5, np.nan])
+    def test_refuses_non_unit_transforms(self, scale):
+        # the canonical-frame loss is only exact on the unit circle
+        model = init_model(build_constellation(2), rng_seed=57)
+        transforms = model.transforms.copy()
+        transforms[1] *= scale
+        with pytest.raises(ValueError, match="unit-modulus"):
+            Batch(replace(model, transforms=transforms),
+                  *make_batch(model, 8, seed=58))
+
+    def test_unit_transforms_within_tolerance_accepted(self):
+        model = init_model(build_constellation(2), rng_seed=59)
+        model = replace(model, transforms=model.transforms * (1 + 5e-13))
+        assert len(Batch(model, *make_batch(model, 8, seed=60))) == 8
+
+    def test_no_stale_ones_rows(self):
+        # the ones rows of the layer inputs are written when a workspace is
+        # made and never again: calls in any order on shared workspaces
+        # match a fresh thread's (whose cache is empty), forward passes
+        # taken before any backward pass there
+        qpsk = build_constellation(2)
+        a_model = init_model(qpsk, rng_seed=61, init_std=2.0)
+        b_model = init_model(qpsk, rng_seed=62, init_std=0.5)
+        cases = [(a_model, *make_batch(a_model, 16, seed=63)),
+                 (b_model, *make_batch(b_model, 16, seed=64))]
+
+        def forward_only(model, y, w):
+            return (weighted_loss(model, y, w), project_all(model, y),
+                    encode(model, y),
+                    decode_curve(model, np.linspace(-1, 1, 5)))
+
+        def fresh(case):
+            out = []
+            worker = threading.Thread(target=lambda: out.extend(
+                [forward_only(*case), loss_and_gradients(*case)]))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive() and len(out) == 2
+            return out
+
+        want = [fresh(case) for case in cases]
+        for i in (0, 1, 0, 0, 1, 1, 0):
+            loss, grads = loss_and_gradients(*cases[i])
+            (w_loss, *arrays), (want_loss, want_grads) = (
+                forward_only(*cases[i]), want[i][1])
+            assert loss == want_loss and w_loss == want[i][0][0]
+            np.testing.assert_array_equal(grads, want_grads)
+            for got, ref in zip(arrays, want[i][0][1:]):
+                np.testing.assert_array_equal(got, ref)
