@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -126,8 +125,6 @@ class ExperimentConfig:
     out_dir: str = ""
 
     def __post_init__(self):
-        if self.profile not in ("sinusoid", "linear_sweep", "constant"):
-            raise ConfigError(f"unknown profile {self.profile!r}")
         if self.snr_reference not in ("transmit", "received"):
             raise ConfigError(
                 f"snr_reference must be transmit or received, "
@@ -162,6 +159,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # built only so that their own field checks run now
+        DensityTrajectory(profile_kind=self.profile)
         build_constellation(self.bits_per_symbol)
         self.schedule()
         self.dnn_config()
@@ -405,6 +403,8 @@ def _map_cells(config: ExperimentConfig, gains: np.ndarray, es: float,
     jobs = [(run, config, gains, es, group) for group in groups]
     workers = min(config.workers, len(groups))
     if workers > 1:
+        # imported here: a serial run, and every start-up, skips its cost
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_group_worker, jobs))
     else:

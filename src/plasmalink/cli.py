@@ -30,7 +30,7 @@ from .bench import (
     run_ser_sweep,
     simulate_cell,
 )
-from .em import demodulate, e_step, elbo, fit
+from .em import demodulate, e_step, elbo, fit, pilot_weights
 from .exceptions import ConfigError
 from .link import build_constellation, build_frame, snr_to_noise_variance, transmit
 from .net import collect_params, init_model, loss_and_gradients, with_params
@@ -198,7 +198,10 @@ def _selftest_checks():
         rx = transmit(frame, const, np.ones(256, dtype=complex),
                       snr_to_noise_variance(8.0), rng_seed=5)
         model = init_model(const, rng_seed=5)
-        before = elbo(model, rx, e_step(model, rx, frame))
+        # from uniform payload rows, the E-step must not lower the bound
+        start = np.full((len(frame), const.order), 1.0 / const.order)
+        start[frame.pilot_positions] = pilot_weights(frame, const.order)
+        before = elbo(model, rx, start)
         w = e_step(model, rx, frame)
         after = elbo(model, rx, w)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)

@@ -8,7 +8,9 @@ sigma_n^2. Training alternates
           (pilot rows are clamped one-hot, which is what makes the
           procedure semi-supervised),
   M-step  a fresh Adam run minimizing the W-weighted projection error,
-          then the exact noise-variance update sigma_n^2 = weighted MSE.
+          then the exact noise-variance update sigma_n^2 = weighted MSE,
+          the training pass's own loss (net.distances weighted by
+          Batch.loss), bit for bit.
 
 The evidence lower bound
 
@@ -18,10 +20,6 @@ The evidence lower bound
 must never decrease across an E-step (the E-step zeroes the KL gap), which
 fit() checks on every iteration; a violation means the posterior or the
 likelihood is wrong and raises immediately.
-
-fit() trains one cell or a lockstep group of cells that share every shape
-(frame length, pilots, K, widths, schedule): one run over C cells at once,
-in which every cell gets exactly the numbers it would get alone.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ from .net import (  # noqa: F401
     adam_step,
     collect_params,
     decode_curve,
+    distances,
     encode,
     init_adam,
     init_model,
@@ -160,8 +159,8 @@ def pilot_weights(frame: Frame, order: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # groups: C cells of one shape, trained in lockstep. The model of a group
-# holds (C, P) parameters and C noise variances; batches are rows-first,
-# (m, C, ...), and the per-cell arrays of the E-step cell-major, (C, m, K),
+# holds (C, P) parameters and C noise variances; IQ rows are rows-first,
+# (m, C, 2), and the E-step's arrays cell-major like a Batch's, (C, K, m),
 # so that every sum over one cell runs over contiguous memory in the order
 # it runs for a lone cell, and a cell's numbers do not depend on its group.
 
@@ -192,13 +191,12 @@ def _iq(received) -> np.ndarray:
     return np.stack([rx.iq() for rx in received], axis=1)
 
 
-def _pilot_batch(y: np.ndarray, frames, order: int):
-    """The pilot rows of a group's IQ y, (n, C, 2), and their one-hot
-    weights, (n, C, K)."""
-    positions = frames[0].pilot_positions
-    w = pilot_weights(frames[0], order)[:, None]
-    return y[positions], np.broadcast_to(w, (len(positions), y.shape[1],
-                                             order))
+def _pilot_batch(model: SmnModel, y: np.ndarray, frames) -> Batch:
+    """The Batch of the pilot rows of a group's IQ y, (m, C, 2), with
+    their one-hot weights."""
+    batch = Batch(model, y[frames[0].pilot_positions])
+    batch.reweigh(pilot_weights(frames[0], model.order).T)
+    return batch
 
 
 def _group_model(model: SmnModel) -> SmnModel:
@@ -216,14 +214,13 @@ def _cell_model(model: SmnModel, cell: int) -> SmnModel:
                    noise_variance=float(model.noise_variance[cell]))
 
 
-def _train(model: SmnModel, y: np.ndarray, w: np.ndarray, steps: int,
-           learning_rate: float, step_hook=None) -> SmnModel:
+def _train(model: SmnModel, batch: Batch, steps: int, learning_rate: float,
+           step_hook=None) -> SmnModel:
     """Fresh-Adam full-batch run on the weighted projection error of a
-    group; the parameters of the (private) model are updated in place.
-    The rows are laid out once, as one Batch, for every step."""
+    group over a Batch; the parameters of the (private) model are updated
+    in place."""
     params = model.params
     state = init_adam(params)
-    batch = Batch(model, y, w)
     for step in range(steps):
         _, grads = loss_and_gradients(model, batch)
         new_params, state = adam_step(params, grads, state,
@@ -235,13 +232,14 @@ def _train(model: SmnModel, y: np.ndarray, w: np.ndarray, steps: int,
 
 
 def pretrain(model: SmnModel, received, frame, schedule: EmSchedule,
-             step_hook=None) -> SmnModel:
+             step_hook=None, pilots: Batch | None = None) -> SmnModel:
     """Fit the curves to the pilot samples alone, labels known.
 
     Takes one cell (a model, a ReceivedSequence and its Frame) or a group
     (a group model and sequences of received sequences and frames), and
-    returns the trained model in the same form. Every constellation symbol
-    needs at least one pilot, otherwise its curve (and encoder) is
+    returns the trained model in the same form; pilots, when given, is
+    the Batch of the pilot rows (see fit). Every constellation symbol needs
+    at least one pilot, otherwise its curve (and encoder) is
     unidentifiable.
     """
     received, frames, single = _cells(received, frame)
@@ -251,28 +249,15 @@ def pretrain(model: SmnModel, received, frame, schedule: EmSchedule,
         raise ConfigError(f"symbols {missing} have no pilots; "
                           "their curves are unidentifiable")
     group = _group_model(model)
-    y, w = _pilot_batch(_iq(received), frames, model.order)
+    if pilots is None:
+        pilots = _pilot_batch(group, _iq(received), frames)
     hook = step_hook
     if single and step_hook is not None:
         def hook(step, m):
             step_hook(step, _cell_model(m, 0))
-    group = _train(group, y, w, schedule.pretrain_steps,
+    group = _train(group, pilots, schedule.pretrain_steps,
                    schedule.learning_rate, hook)
     return _cell_model(group, 0) if single else group
-
-
-def _distances(model: SmnModel, y: np.ndarray) -> np.ndarray:
-    """Squared projection distances d_ik^2 = ||y_i - proj_k(y_i)||^2 of a
-    group's rows (m, C, 2), cell-major (C, m, K).
-
-    They depend on the curves only, so one matrix serves every posterior,
-    bound and loss of a model state.
-    """
-    diff = project_all(model, y).transpose(1, 0, 2, 3)
-    diff -= y.transpose(1, 0, 2)[:, :, None]
-    np.square(diff, out=diff)
-    return np.add(diff[..., 0], diff[..., 1],
-                  out=np.empty(diff.shape[:3]))
 
 
 def _clamped(variances, message: str):
@@ -283,61 +268,48 @@ def _clamped(variances, message: str):
 
 
 def _posterior(model: SmnModel, d2: np.ndarray, pilots) -> np.ndarray:
-    """E-step posterior from the distance matrix (see e_step), (C, m, K);
-    pilots is None or the (positions, labels) to clamp one-hot."""
+    """E-step posterior from the distances (see e_step), (C, K, m); pilots
+    is None or the (positions, labels) to clamp one-hot."""
     var = _clamped(model.noise_variance,
                    "noise variance %.3g below floor, clamped to %.1g")
-    # one (C, m, K) buffer: -d2 / var, less its row maximum, exponentiated
+    # one (C, K, m) buffer: -d2 / var, less its row maximum, exponentiated
     w = np.divide(d2, var[:, None, None])
     np.negative(w, out=w)
-    w -= w.max(axis=2, keepdims=True)
+    w -= w.max(axis=1, keepdims=True)
     np.exp(w, out=w)
-    w /= w.sum(axis=2, keepdims=True)
+    w /= w.sum(axis=1, keepdims=True)
     if pilots is not None:
         positions, labels = pilots
-        w[:, positions] = 0.0
-        w[:, positions, labels] = 1.0
+        w[:, :, positions] = 0.0
+        w[:, labels, positions] = 1.0
     return w
 
 
-def _cell_sums(x: np.ndarray) -> np.ndarray:
-    """Per cell, the sum of a cell-major (C, m, K) array."""
-    return np.sum(x.reshape(len(x), -1), axis=1)
-
-
 def _bound(model: SmnModel, d2: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Evidence lower bound per cell from the distance matrix (see elbo)."""
+    """Evidence lower bound per cell from the distances (see elbo)."""
     var = model.noise_variance[:, None, None]
-    # one (C, m, K) buffer: w (log-likelihood + log prior), then the
-    # entropy terms w ln w, with 0 ln 0 taken as 0
+    # one (C, K, m) buffer: w (log-likelihood + log prior), then the
+    # entropy terms w ln w, with 0 ln 0 taken as 0; each summed per cell
     t = np.divide(d2, var)
     np.subtract(-np.log(np.pi * var), t, out=t)
     t += np.log(1.0 / model.order)
     t *= w
-    joint = _cell_sums(t)
+    joint = t.reshape(len(t), -1).sum(axis=1)
     zero = ~(w > 0)
     np.copyto(t, w)
     t[zero] = 1.0
     np.log(t, out=t)
     t *= w
     t[zero] = 0.0
-    return joint - _cell_sums(t)
+    return joint - t.reshape(len(t), -1).sum(axis=1)
 
 
-def _weighted_mean(d2: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(1/m) sum_i sum_k w_ik d_ik^2 per cell, the M-step objective."""
-    return np.mean(np.sum(w * d2, axis=2), axis=1)
-
-
-def _m_step(model: SmnModel, y: np.ndarray, w: np.ndarray,
-            schedule: EmSchedule):
-    """m_step on a group's rows; also returns the new model's distance
-    matrix."""
-    model = _train(replace(model, params=model.params.copy()), y,
-                   w.transpose(1, 0, 2), schedule.mstep_steps,
-                   schedule.learning_rate)
-    d2 = _distances(model, y)
-    resid = _weighted_mean(d2, w)
+def _m_step(model: SmnModel, batch: Batch, schedule: EmSchedule):
+    """m_step on a group's Batch; also returns the new distances."""
+    model = _train(replace(model, params=model.params.copy()), batch,
+                   schedule.mstep_steps, schedule.learning_rate)
+    d2 = distances(model, batch)
+    resid = batch.loss(d2)
     model = replace(model, noise_variance=_clamped(
         resid, "noise variance estimate %.3g clamped to %.1g"))
     return model, resid, d2
@@ -353,7 +325,8 @@ def e_step(model: SmnModel, received: ReceivedSequence,
     """
     model = _group_model(model)
     pilots = None if frame is None else _shared_pilots([frame])
-    return _posterior(model, _distances(model, _iq([received])), pilots)[0]
+    d2 = distances(model, Batch(model, _iq([received])))
+    return _posterior(model, d2, pilots)[0].T.copy()
 
 
 def m_step(model: SmnModel, received: ReceivedSequence, w: np.ndarray,
@@ -365,8 +338,8 @@ def m_step(model: SmnModel, received: ReceivedSequence, w: np.ndarray,
     exact maximizer of the lower bound for a Gaussian of total variance
     sigma_n^2 (clamped at the floor). Returns (model, loss_after).
     """
-    model, resid, _ = _m_step(_group_model(model), _iq([received]),
-                              np.asarray(w, dtype=float)[None], schedule)
+    batch = Batch(model, received.iq(), w)
+    model, resid, _ = _m_step(_group_model(model), batch, schedule)
     return _cell_model(model, 0), float(resid[0])
 
 
@@ -378,8 +351,8 @@ def elbo(model: SmnModel, received: ReceivedSequence, w: np.ndarray) -> float:
     0 * ln 0 as 0.
     """
     model = _group_model(model)
-    d2 = _distances(model, _iq([received]))
-    return float(_bound(model, d2, np.asarray(w, dtype=float)[None])[0])
+    d2 = distances(model, Batch(model, _iq([received])))
+    return float(_bound(model, d2, np.asarray(w, dtype=float).T[None])[0])
 
 
 def fit(received, frame, constellation: Constellation,
@@ -398,25 +371,26 @@ def fit(received, frame, constellation: Constellation,
     (m, K) or for a group cell-major (C, m, K).
 
     The initial noise variance is the pilot residual after pretraining (the
-    only data-driven estimate available before the first E-step). The frame
-    is projected once per curve state: every posterior, bound and loss of
-    that state shares one distance matrix. Raises RuntimeError if the lower
-    bound of any cell ever drops across an E-step beyond a 1e-9 tolerance;
-    that invariant holds analytically, so a violation is a bug, not a
-    tuning issue.
+    only data-driven estimate available before the first E-step). Two
+    Batches serve the fit: the pilot rows (pretraining and that residual)
+    and the frame rows, whose weights each E-step replaces; every
+    posterior, bound and loss of a curve state reads one distances call.
+    Raises RuntimeError if the lower bound of any cell ever drops across an
+    E-step beyond a 1e-9 tolerance; that invariant holds analytically, so a
+    violation is a bug, not a tuning issue.
     """
     cells, frames, single = _cells(received, frame)
     pilots = _shared_pilots(frames)
     models = [init_model(constellation, seed, hidden_units, init_std)
               for seed in ([rng_seed] if single else rng_seed)]
-    model = models[0] if single else replace(
-        models[0], params=np.stack([m.params for m in models]),
-        noise_variance=np.ones(len(models)))
-    model = _group_model(pretrain(model, received, frame, schedule,
-                                  step_hook=pretrain_hook))
-
+    model = replace(models[0], params=np.stack([m.params for m in models]),
+                    noise_variance=np.ones(len(models)))
     y = _iq(cells)
-    pilot_resid = weighted_loss(model, *_pilot_batch(y, frames, model.order))
+    pilot_batch = _pilot_batch(model, y, frames)
+    model = _group_model(pretrain(models[0] if single else model, received,
+                                  frame, schedule, step_hook=pretrain_hook,
+                                  pilots=pilot_batch))
+    pilot_resid = weighted_loss(model, pilot_batch)
     model = replace(model, noise_variance=np.maximum(pilot_resid,
                                                      NOISE_VARIANCE_FLOOR))
 
@@ -428,7 +402,8 @@ def fit(received, frame, constellation: Constellation,
             trace.append(TraceRecord(phase, iteration,
                                      *(float(v[c]) for v in values)))
 
-    d2 = _distances(model, y)
+    batch = Batch(model, y)
+    d2 = distances(model, batch)
     w = _posterior(model, d2, pilots)
     start = _bound(model, d2, w)
     record("pretrain", 0, start, start, pilot_resid, pilot_resid,
@@ -444,19 +419,20 @@ def fit(received, frame, constellation: Constellation,
                 f"lower bound decreased across E-step {it}: "
                 f"{before[c]:.12g} -> {after[c]:.12g}"
                 + ("" if single else f" (cell {c} of the group)"))
-        loss_before = _weighted_mean(d2, w)
-        # spent: freed so that it and the M-step's batch never coexist
+        batch.reweigh(w)
+        loss_before = batch.loss(d2)
+        # spent: freed before the M-step makes the next
         del d2
-        model, loss_after, d2 = _m_step(model, y, w, schedule)
+        model, loss_after, d2 = _m_step(model, batch, schedule)
         record("em", it, before, after, loss_before, loss_after,
                model.noise_variance)
         if em_hook is not None and single:
-            em_hook(it, _cell_model(model, 0), w[0])
+            em_hook(it, _cell_model(model, 0), w[0].T)
         elif em_hook is not None:
-            em_hook(it, model, w)
+            em_hook(it, model, w.transpose(0, 2, 1))
 
     fits = GroupFit(FitResult(model=_cell_model(model, c),
-                              weights=w[c].copy(), trace=tuple(trace))
+                              weights=w[c].T.copy(), trace=tuple(trace))
                     for c, trace in enumerate(traces))
     return fits[0] if single else fits
 

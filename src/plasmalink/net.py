@@ -28,14 +28,16 @@ Training works in the canonical frame. For a unit-modulus (PSK) symbol,
 T_k is a rotation, so ||y - x_k p|| = ||conj(x_k) y - p|| for the
 canonical point p = rho e^{i theta}: the loss compares p with the
 derotated rows u_k = conj(x_k) y, which a Batch forms once per Adam run,
-and a training step never rotates p. Rotation does not change <p, g> or
-the 2-D cross product p x g, so with g = dL/dp the backward pass needs
-neither T_k nor the angle:
+and a training step never rotates p. Every distance of a row to a curve
+is ||u_k - p||^2 (distances), and every loss their weighted sum
+(Batch.loss). Rotation does not change <p, g> or the 2-D cross product
+p x g, so with g = dL/dp the backward pass needs neither T_k nor the angle:
 
     dL/d(radius logit) = (1 - rho) <p, g>
     dL/d(theta)        = p x g
 
-project_all, whose callers want points on the curves, does rotate by x_k.
+project_all rotates p by x_k onto the curves; it serves only the fading
+estimate.
 
 Everything here is plain numpy with hand-written backprop. All trainable
 parameters live in one flat float64 vector: encoder 0, ..., encoder K-1,
@@ -55,8 +57,8 @@ blocks are the rows of an (S, P) array, every layer an
 feature-major, (S, features + 1, rows). The K encoder blocks are
 contiguous, so all K encoders run as one stack, and their K coordinate
 rows, side by side, take one pass of the shared decoder. There is one
-such pass: every projection, loss and gradient covers all K curves, and a
-caller that wants one symbol's curve per row gathers it from
+such pass: every distance, projection, loss and gradient covers all K
+curves, and a caller that wants one symbol's curve per row gathers it from
 project_all's (rows, K, 2) output or encode's (rows, K) coordinates.
 
 A lockstep group of C cells of one shape holds its parameters as (C, P)
@@ -109,6 +111,7 @@ __all__ = [
     "encode",
     "decode_curve",
     "Batch",
+    "distances",
     "weighted_loss",
     "loss_and_gradients",
     "collect_params",
@@ -364,15 +367,13 @@ class _Workspace:
         # buffer of c * n * (the wider of the two layers) floats. The first
         # also holds five (c, s, m) arrays, spent before the backward pass
         # starts: the canonical curve point (tmp, tmp2), then three scratch
-        # arrays of the loss head (residuals, then their gradients) or
-        # project_all's projections.
+        # arrays of the distances (residuals, then their gradients).
         hidden = (encoder_widths[1:-1], decoder_widths[1:-1])
         widest = [max(pair) for pair in zip_longest(*hidden, fillvalue=0)]
         widest[0] = max(widest[0], 5)
         shared = [np.empty(c * n * w) for w in widest]
         self.tmp, self.tmp2, *self.scratch = shared[0][:5 * c * n].reshape(
             5, c, s, m)
-        self.proj = shared[0][2 * c * n:4 * c * n].reshape(c, s, 2, m)
         self.enc_g_ins = [None] + [buf[:c * n * w].reshape(c, s, w, m)
                                    for buf, w in zip(shared, hidden[0])]
         self.dec_g_ins = [self.dec_acts[-1][:, :1]] + [
@@ -435,38 +436,29 @@ def _forward(params: np.ndarray, x: np.ndarray, ws: _Workspace):
     return enc_cache, dec_cache
 
 
-def _cells_view(model: SmnModel, y: np.ndarray, w=None):
-    """Rows-first batch (m, C, ...) of a group's cells; one cell's (m, ...)
-    batch is a group of one."""
-    if model.params.ndim == 1:
-        y = y[:, None]
-        w = None if w is None else w[:, None]
-    return y, w
-
-
 def project_all(model: SmnModel, y: np.ndarray) -> np.ndarray:
     """Projections onto every curve: (m, K, 2) for one cell's (m, 2) rows,
     (m, C, K, 2) for a group's (m, C, 2) rows."""
-    y, _ = _cells_view(model, np.asarray(y, dtype=float))
-    m, c = y.shape[:2]
-    x = mlp_input(y.transpose(1, 2, 0)[:, None])
     params = _cell_params(model)
+    m, c = len(y), len(params)
+    # rows-first (m, C, 2); one cell's rows are a group of one
+    x = mlp_input(np.reshape(y, (m, c, 2)).transpose(1, 2, 0)[:, None])
     re = model.transforms[:, 0, :1]
     im = model.transforms[:, 1, :1]
     proj = np.empty((m, c, model.order, 2))
     for part in _passes(c, model.order, m):
         ws = _workspace(model, part.stop - part.start, m)
         _forward(params[part], x[part], ws)
-        # x_k p in complex form; the angle, spent, is scratch
+        # x_k p in complex form, into the output; the angle, spent, is
+        # scratch
         p0, p1, tmp = ws.tmp, ws.tmp2, ws.angle
-        q0, q1 = ws.proj[:, :, 0], ws.proj[:, :, 1]
+        q0, q1 = proj[:, part].transpose(3, 1, 2, 0)
         np.multiply(re, p0, out=q0)
         np.multiply(im, p1, out=tmp)
         q0 -= tmp
         np.multiply(im, p0, out=q1)
         np.multiply(re, p1, out=tmp)
         q1 += tmp
-        np.copyto(proj[:, part], ws.proj.transpose(3, 0, 1, 2))
     return proj[:, 0] if model.params.ndim == 1 else proj
 
 
@@ -498,25 +490,13 @@ def decode_curve(model: SmnModel, lam_grid: np.ndarray) -> np.ndarray:
     return (model.transforms @ cart).transpose(0, 2, 1)
 
 
-def _check_batch(model, y, w):
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    cells = model.params.shape[:-1]
-    if y.ndim != 2 + len(cells) or y.shape[1:] != cells + (2,):
-        raise ValueError(f"y must be (m, {', '.join(map(str, cells + (2,)))})"
-                         f", got {y.shape}")
-    if w.shape != y.shape[:-1] + (model.order,):
-        raise ValueError(f"w must be {y.shape[:-1] + (model.order,)}, "
-                         f"got {w.shape}")
-    return y, w
-
-
 class Batch:
-    """The training rows of one cell or of a group, laid out once for the
-    SMN pass, which then reads them at every step of an Adam run.
+    """The rows of one cell or of a group, laid out once for every SMN pass
+    of a fit over them.
 
-    Built from (model, y, w) as loss_and_gradients takes them; holds its
-    own copies, cell-major:
+    Built from (model, y, w) as loss_and_gradients takes them; without w
+    the weights are zero until reweigh sets them. Holds its own copies,
+    cell-major:
 
       x  the rows, feature-major with the ones row, (C, 1, 3, m)
       u  each curve's derotated rows conj(x_k) y, (2, C, K, m)
@@ -527,57 +507,98 @@ class Batch:
     whose transforms are not rotations is refused. len() is the row count.
     """
 
-    __slots__ = ("x", "u", "w", "rows")
+    __slots__ = ("x", "u", "w")
 
-    def __init__(self, model: SmnModel, y, w):
-        y, w = _cells_view(model, *_check_batch(model, y, w))
+    def __init__(self, model: SmnModel, y, w=None):
+        y = np.asarray(y, dtype=float)
+        want = model.params.shape[:-1] + (2,)
+        if y.shape[1:] != want:
+            raise ValueError(f"y must be (m, {', '.join(map(str, want))}), "
+                             f"got {y.shape}")
+        w = None if w is None else np.asarray(w, dtype=float)
+        if w is not None and w.shape != y.shape[:-1] + (model.order,):
+            raise ValueError(f"w must be {y.shape[:-1] + (model.order,)}, "
+                             f"got {w.shape}")
         t = model.transforms
         if not np.abs(np.hypot(t[:, 0, 0], t[:, 1, 0]) - 1.0).max() <= 1e-12:
             raise ValueError("the symbol transforms must be unit-modulus "
                              "to 1e-12")
-        m, c = y.shape[:2]
-        yt = y.transpose(1, 2, 0)[:, None]
+        # rows-first (m, C, 2); one cell's rows are a group of one
+        m = len(y)
+        yt = y.reshape(m, -1, 2).transpose(1, 2, 0)[:, None]
+        c = len(yt)
         self.x = mlp_input(yt)
         # T_k^T is multiplication by conj(x_k); each IQ component of u is
         # one contiguous (C, K, m) block
         self.u = np.empty((2, c, model.order, m))
         np.matmul(t.mT, yt, out=self.u.transpose(1, 2, 0, 3))
-        self.w = np.empty((c, model.order, m))
-        np.copyto(self.w, w.transpose(1, 2, 0))
-        self.w *= 2.0 / m
-        self.rows = m
+        self.w = np.zeros((c, model.order, m))
+        if w is not None:
+            self.reweigh(w.reshape(m, c, -1).transpose(1, 2, 0))
 
     def __len__(self) -> int:
-        return self.rows
+        return self.x.shape[-1]
+
+    def reweigh(self, w) -> None:
+        """Take new weights, cell-major, broadcast to (C, K, m); the rows
+        stay."""
+        np.multiply(w, 2.0 / len(self), out=self.w)
+
+    def loss(self, d2: np.ndarray, cells=slice(None), out=None):
+        """The training loss (1/m) sum_i sum_k w_ik d2_ik per cell, (c,), of
+        the distances d2, (c, K, m), of the batch's cells in cells; the
+        weighted terms go to out, which may be d2."""
+        t = np.multiply(d2, self.w[cells], out=out)
+        return t.reshape(len(t), -1).sum(axis=1) * 0.5
 
 
-def _run(model: SmnModel, batch: Batch, gradients: bool):
-    """The SMN pass over every cell of a batch: the (C,) losses, and the
-    (C, P) gradient or None."""
+def _cell_passes(model: SmnModel, batch: Batch):
+    """Per pass over a Batch built for the model: its slice of the cells,
+    their (cells, P) parameters and the pass's workspace."""
     params = _cell_params(model)
     c, m = len(params), len(batch)
     if batch.w.shape[:2] != (c, model.order):
         raise ValueError(f"batch of {batch.w.shape[:2]} cells x curves "
                          f"for a model of {(c, model.order)}")
-    loss = np.empty(c)
-    grad = np.empty(params.shape) if gradients else None
     for part in _passes(c, model.order, m):
-        ws = _workspace(model, part.stop - part.start, m)
-        loss[part] = _loss_pass(params[part], batch, part, ws, gradients)
-        if gradients:
-            if not (np.isfinite(loss[part]).all()
-                    and np.isfinite(ws.grad, out=ws.finite).all()):
-                raise NonFiniteError("loss or gradient overflowed to NaN/Inf")
-            np.take(ws.grad, ws.scatter, axis=1, out=grad[part], mode="clip")
-    return loss, grad
+        yield part, params[part], _workspace(model, part.stop - part.start, m)
+
+
+def _distance_pass(params: np.ndarray, batch: Batch, part: slice,
+                   ws: _Workspace, d2: np.ndarray):
+    """_forward over the cells of a batch in part, whose parameters are
+    given, their canonical residuals p - u_k into ws.scratch and the
+    squared distances, the residuals' squared norms, into d2, (c, K, m);
+    returns the MLP caches and the residuals."""
+    caches = _forward(params, batch.x[part], ws)
+    d0, d1, _ = ws.scratch
+    np.subtract(ws.tmp, batch.u[0, part], out=d0)
+    np.subtract(ws.tmp2, batch.u[1, part], out=d1)
+    # angle holds tan(theta/2), spent: scratch until the angle gradient
+    np.multiply(d0, d0, out=d2)
+    np.multiply(d1, d1, out=ws.angle)
+    d2 += ws.angle
+    return caches, d0, d1
+
+
+def distances(model: SmnModel, batch: Batch) -> np.ndarray:
+    """Squared distances ||u_k - p||^2 of every cell, curve and row of a
+    Batch built for the model, (C, K, m): each row's squared distance to
+    its projection x_k p onto curve k, as the training pass forms it."""
+    d2 = np.empty(batch.w.shape)
+    for part, params, ws in _cell_passes(model, batch):
+        _distance_pass(params, batch, part, ws, d2[part])
+    return d2
 
 
 def weighted_loss(model: SmnModel, y, w=None):
     """(1/m) sum_i sum_k w_ik ||y_i - proj_k(y_i)||^2, the loss of the
     training pass, of a Batch or of arrays y and w as loss_and_gradients
-    takes them; for a group, an array with one such loss per cell."""
+    takes them: Batch.loss of the distances. For a group, an array with
+    one such loss per cell."""
     batch = y if isinstance(y, Batch) else Batch(model, y, w)
-    loss, _ = _run(model, batch, gradients=False)
+    d2 = distances(model, batch)
+    loss = batch.loss(d2, out=d2)
     return float(loss[0]) if model.params.ndim == 1 else loss
 
 
@@ -608,36 +629,34 @@ def loss_and_gradients(model: SmnModel, y, w=None):
     Raises NonFiniteError if anything overflows to NaN/Inf.
     """
     batch = y if isinstance(y, Batch) else Batch(model, y, w)
-    loss, grad = _run(model, batch, gradients=True)
+    loss = np.empty(len(batch.w))
+    grad = np.empty((len(batch.w), model.params.shape[-1]))
+    for part, params, ws in _cell_passes(model, batch):
+        loss[part] = _loss_pass(params, batch, part, ws)
+        if not (np.isfinite(loss[part]).all()
+                and np.isfinite(ws.grad, out=ws.finite).all()):
+            raise NonFiniteError("loss or gradient overflowed to NaN/Inf")
+        np.take(ws.grad, ws.scatter, axis=1, out=grad[part], mode="clip")
     if model.params.ndim == 1:
         return float(loss[0]), grad[0]
     return loss, grad
 
 
 def _loss_pass(params: np.ndarray, batch: Batch, part: slice,
-               ws: _Workspace, gradients: bool):
+               ws: _Workspace):
     """One pass over the cells of a batch in part, whose parameters are
-    given: returns their losses and, with gradients, writes their gradient
-    in augmented order into ws.grad. Works in the canonical frame, on the
-    residual p - u_k (see Batch)."""
-    c = part.stop - part.start
-    enc_cache, dec_cache = _forward(params, batch.x[part], ws)
+    given: returns their losses and writes their gradient in augmented
+    order into ws.grad. Works in the canonical frame, on the residual
+    p - u_k (see Batch)."""
     p0, p1, rho, angle = ws.tmp, ws.tmp2, ws.rho, ws.angle
-    d0, d1, tmp = ws.scratch
-    w = batch.w[part]
-    np.subtract(p0, batch.u[0, part], out=d0)
-    np.subtract(p1, batch.u[1, part], out=d1)
-    # angle holds tan(theta/2), spent: scratch until the angle gradient
-    np.multiply(d0, d0, out=tmp)
-    np.multiply(d1, d1, out=angle)
-    tmp += angle
-    tmp *= w
-    loss = tmp.reshape(c, -1).sum(axis=1) * 0.5
-    if not gradients:
-        return loss
+    tmp = ws.scratch[2]
+    (enc_cache, dec_cache), d0, d1 = _distance_pass(params, batch, part, ws,
+                                                    tmp)
+    loss = batch.loss(tmp, part, out=tmp)
 
     # g = dL/dp, in place of the residual; the decoder output gradient
     # overwrites its output (see module doc)
+    w = batch.w[part]
     g0, g1 = np.multiply(d0, w, out=d0), np.multiply(d1, w, out=d1)
     np.multiply(p0, g1, out=angle)
     np.multiply(p1, g0, out=tmp)

@@ -1,12 +1,17 @@
 """Tests for the experiment driver: config format, sweeps, snapshots, CLI."""
 
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import plasmalink
 from plasmalink import bench
 from plasmalink.bench import (
     ExperimentConfig,
@@ -413,6 +418,21 @@ class TestCli:
         assert main(["validate-physics", "--seed", "-1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_selftest_passes_every_check(self, capsys):
+        assert main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("ok ") for line in lines) == 8, lines
+
+    def test_import_leaves_the_pool_unloaded(self):
+        # the process pool is imported only when a sweep starts one
+        code = ("import sys, plasmalink.cli; "
+                "print('concurrent.futures.process' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(plasmalink.__file__)
+                                              .resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("case", [
         "config-is-directory", "config-not-utf8", "outdir-is-file",

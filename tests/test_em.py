@@ -261,24 +261,47 @@ class TestFit:
             assert rec.loss_after_m <= rec.loss_before_m
             assert rec.noise_variance > 0.0
 
+    def test_trace_losses_are_the_training_loss(self):
+        # the last M-step's loss and sigma^2 are the training pass's loss
+        # of the final model under the final posterior, bit for bit
+        const, frame, rx = static_run(0.7 - 0.3j, snr_db=9.0, seed=53)
+        result = fit(rx, frame, const, EmSchedule(pretrain_steps=50,
+                                                  em_iterations=3,
+                                                  mstep_steps=20),
+                     rng_seed=53)
+        loss = weighted_loss(result.model, rx.iq(), result.weights)
+        assert result.trace[-1].loss_after_m == loss
+        assert result.model.noise_variance == max(loss,
+                                                  NOISE_VARIANCE_FLOOR)
+
     @pytest.mark.parametrize("iterations", [0, 1, 3])
-    def test_projects_frame_once_per_model_state(self, monkeypatch,
-                                                 iterations):
-        # one distance matrix after pretraining and one per M-step; the
-        # bounds, the E-step and the M-step loss all reuse it
+    def test_distances_once_per_model_state(self, monkeypatch, iterations):
+        # one distance matrix over the frame's rows after pretraining and
+        # one per M-step; the bounds, the E-step and every loss reuse it.
+        # The pilot rows and the frame rows are laid out once each, and
+        # the fit never rotates onto the curves.
         const, frame, rx = static_run(0.75, snr_db=10.0, seed=54)
-        original = em_module.project_all
-        rows = []
+        distances, batch = em_module.distances, em_module.Batch
+        rows, built, projected = [], [], []
 
-        def counting(model, y):
-            rows.append(len(y))
-            return original(model, y)
+        def counting(model, b):
+            rows.append(len(b))
+            return distances(model, b)
 
-        monkeypatch.setattr(em_module, "project_all", counting)
+        def building(model, y, w=None):
+            built.append(len(y))
+            return batch(model, y, w)
+
+        monkeypatch.setattr(em_module, "distances", counting)
+        monkeypatch.setattr(em_module, "Batch", building)
+        monkeypatch.setattr(em_module, "project_all",
+                            lambda *args: projected.append(args))
         fit(rx, frame, const, EmSchedule(pretrain_steps=20,
                                          em_iterations=iterations,
                                          mstep_steps=5), rng_seed=54)
         assert rows == [len(rx)] * (1 + iterations)
+        assert built == [len(frame.pilot_positions), len(rx)]
+        assert projected == []
 
     def test_every_step_calls_loss_and_gradients_through_em(self,
                                                            monkeypatch):
