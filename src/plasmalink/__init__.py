@@ -51,7 +51,6 @@ from .link import (
     ReceivedSequence,
     build_constellation,
     build_frame,
-    load_sequence_csv,
     save_sequence_csv,
     snr_to_noise_variance,
     transmit,
@@ -105,7 +104,6 @@ __all__ = [
     "genie_ml",
     "init_model",
     "load_config",
-    "load_sequence_csv",
     "m_step",
     "pilot_interp_ml",
     "plasma_frequency",

@@ -58,6 +58,7 @@ __all__ = [
     "SerStats",
     "config_to_text",
     "config_from_text",
+    "parse_value",
     "load_config",
     "save_config",
     "build_channel",
@@ -149,11 +150,12 @@ class ExperimentConfig:
         if len(set(keys)) != len(keys):
             raise ConfigError(f"snr_db values closer than 0.5 mdB share a "
                               f"cell seed: {self.snr_db}")
+        # interval 1 makes every symbol a pilot and leaves no payload
         bad = [i for i in self.pilot_intervals
-               if not 1 <= i <= self.frame_length]
+               if not 2 <= i <= self.frame_length]
         if bad:
             raise ConfigError(f"pilot intervals {bad} outside "
-                              f"1..frame_length ({self.frame_length})")
+                              f"2..frame_length ({self.frame_length})")
         if self.hidden_units < 1:
             raise ConfigError("hidden_units must be >= 1")
         if self.seed < 0:
@@ -188,11 +190,8 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# config text format: one "key = value" per line, '#' comments
-
-
-_LIST_FIELDS = {"pilot_intervals", "snr_db", "receivers"}
-_OPTIONAL_FLOAT_FIELDS = {"sheath_thickness_m", "constant_level"}
+# config text format: one "key = value" per line, '#' comments; the CLI
+# flags read their values through the same parse_value
 
 
 def _format_value(value) -> str:
@@ -214,7 +213,10 @@ def config_to_text(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_scalar(name: str, text: str, kind):
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def _typed(name: str, text: str, kind, expected: str = ""):
     try:
         if kind is bool:
             if text not in ("true", "false"):
@@ -222,13 +224,31 @@ def _parse_scalar(name: str, text: str, kind):
             return text == "true"
         return kind(text)
     except ValueError:
-        raise ConfigError(f"bad value for {name}: {text!r}") from None
+        expected = expected or ("true or false" if kind is bool
+                                else kind.__name__)
+        raise ConfigError(f"bad value for {name}: {text!r} "
+                          f"(expected {expected})") from None
+
+
+def parse_value(name: str, text: str):
+    """The typed value of ExperimentConfig field ``name`` read from its
+    text, as a config file or a CLI flag gives it. The kind follows the
+    field's default: a tuple is a comma-separated list of its first item's
+    type, None an optional float (``none``/``auto`` unset), and any other
+    default its own type, with booleans spelled ``true``/``false``."""
+    default = _DEFAULTS[name]
+    if isinstance(default, tuple):
+        kind = type(default[0])
+        expected = f"comma-separated {kind.__name__} values"
+        return tuple(_typed(name, v.strip(), kind, expected)
+                     for v in text.split(",") if v.strip())
+    if default is None and text in ("none", "auto"):
+        return None
+    return _typed(name, text, float if default is None else type(default))
 
 
 def config_from_text(text: str) -> ExperimentConfig:
     """Parse the key=value format; unknown keys are errors, not warnings."""
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
-    defaults = ExperimentConfig()
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -246,27 +266,12 @@ def config_from_text(text: str) -> ExperimentConfig:
             if target in values:
                 raise ConfigError(f"line {lineno}: {target} given twice "
                                   "(mixed density units?)")
-            values[target] = scale * _parse_scalar(name, val, float)
+            values[target] = scale * _typed(name, val, float)
             continue
-        if name not in types:
+        if name not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {name!r}")
-        if name in _OPTIONAL_FLOAT_FIELDS:
-            values[name] = None if val in ("none", "auto") \
-                else _parse_scalar(name, val, float)
-        elif name in _LIST_FIELDS:
-            items = [v.strip() for v in val.split(",") if v.strip()]
-            if name == "receivers":
-                values[name] = tuple(items)
-            elif name == "pilot_intervals":
-                values[name] = tuple(_parse_scalar(name, v, int)
-                                     for v in items)
-            else:
-                values[name] = tuple(_parse_scalar(name, v, float)
-                                     for v in items)
-        else:
-            kind = type(getattr(defaults, name))
-            values[name] = _parse_scalar(name, val, kind)
-    return replace(defaults, **values)
+        values[name] = parse_value(name, val)
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:

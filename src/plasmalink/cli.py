@@ -25,6 +25,7 @@ from .bench import (
     ExperimentConfig,
     build_channel,
     load_config,
+    parse_value,
     run_fading_estimation,
     run_learning_snapshots,
     run_ser_sweep,
@@ -43,49 +44,33 @@ from .physics import (
 __all__ = ["main"]
 
 
-def _parse_floats(text: str) -> tuple:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers: {text!r}") from None
-
-
-def _parse_ints(text: str) -> tuple:
-    try:
-        return tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers: {text!r}") from None
+# each run flag, the config key it overrides and its help; a flag's text is
+# read exactly as that key's value in a config file
+_RUN_FLAGS = (
+    ("--seed", "seed", "override base seed"),
+    ("--outdir", "out_dir", "override output directory"),
+    ("--snr", "snr_db", "override SNR list, e.g. 0,4,8 (dB)"),
+    ("--intervals", "pilot_intervals", "override pilot intervals, e.g. 16,256"),
+    ("--trials", "trials", "override trials per cell"),
+    ("--receivers", "receivers", "override receiver list, comma-separated"),
+    ("--workers", "workers", "override worker count"),
+)
 
 
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="config file (key = value lines)")
-    sub.add_argument("--seed", type=int, help="override base seed")
-    sub.add_argument("--outdir", help="override output directory")
-    sub.add_argument("--snr", help="override SNR list, e.g. 0,4,8 (dB)")
-    sub.add_argument("--intervals", help="override pilot intervals, e.g. 16,256")
-    sub.add_argument("--trials", type=int, help="override trials per cell")
-    sub.add_argument("--receivers", help="override receiver list, comma-separated")
-    sub.add_argument("--workers", type=int, help="override worker count")
+    for flag, _, text in _RUN_FLAGS:
+        sub.add_argument(flag, help=text)
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.outdir is not None:
-        overrides["out_dir"] = args.outdir
-    if args.snr is not None:
-        overrides["snr_db"] = _parse_floats(args.snr)
-    if args.intervals is not None:
-        overrides["pilot_intervals"] = _parse_ints(args.intervals)
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.receivers is not None:
-        overrides["receivers"] = tuple(
-            r.strip() for r in args.receivers.split(",") if r.strip())
-    if args.workers is not None:
-        overrides["workers"] = args.workers
+    """The --config file (or the defaults) with every run flag given on
+    the command line applied; validate-physics has only --seed."""
+    given = vars(args)
+    path = given.get("config")
+    config = load_config(path) if path else ExperimentConfig()
+    overrides = {key: parse_value(key, text) for flag, key, _ in _RUN_FLAGS
+                 if (text := given.get(flag[2:])) is not None}
     return replace(config, **overrides)
 
 
@@ -131,10 +116,8 @@ def _dispersion_error(density, params) -> float:
 
 def _cmd_validate_physics(args) -> int:
     """The dispersion check over 1000 random densities."""
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     params = reference_channel_params()
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(_resolve_config(args).seed)
     lo, hi = params.density_range
     density = 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), 1000)
     worst = _dispersion_error(density, params)
@@ -284,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     phys = subs.add_parser("validate-physics",
                            help="dispersion self-consistency oracle")
-    phys.add_argument("--seed", type=int, help="density sampling seed")
+    phys.add_argument("--seed", help="density sampling seed")
     phys.set_defaults(func=_cmd_validate_physics)
 
     selftest = subs.add_parser("selftest", help="fast invariant battery")

@@ -30,7 +30,6 @@ __all__ = [
     "snr_to_noise_variance",
     "transmit",
     "save_sequence_csv",
-    "load_sequence_csv",
 ]
 
 SEQUENCE_CSV_SCHEMA = "received_sequence v1"
@@ -175,30 +174,3 @@ def save_sequence_csv(path, frame: Frame, received: ReceivedSequence) -> None:
                 f"{received.true_gains[i].real:.17g}",
                 f"{received.true_gains[i].imag:.17g}",
             ])
-
-
-def load_sequence_csv(path, noise_variance: float = 0.0,
-                      pilot_interval: int | None = None):
-    """Inverse of :func:`save_sequence_csv`; returns (frame, received)."""
-    rows = []
-    with Path(path).open() as fh:
-        header = fh.readline()
-        if SEQUENCE_CSV_SCHEMA not in header:
-            raise ConfigError(f"{path}: unrecognized sequence schema")
-        for row in csv.DictReader(fh):
-            rows.append(row)
-    idx = np.array([int(r["index"]) for r in rows])
-    order = np.argsort(idx)
-    symbols = np.array([int(r["true_symbol"]) for r in rows])[order]
-    pilot_flag = np.array([int(r["pilot_flag"]) for r in rows])[order]
-    samples = np.array([float(r["I"]) + 1j * float(r["Q"]) for r in rows])[order]
-    gains = np.array([float(r["gain_I"]) + 1j * float(r["gain_Q"])
-                      for r in rows])[order]
-    pilots = np.nonzero(pilot_flag)[0]
-    if pilot_interval is None:
-        pilot_interval = int(pilots[1] - pilots[0]) if len(pilots) > 1 else len(idx)
-    frame = Frame(symbols=symbols, pilot_positions=pilots,
-                  pilot_interval=pilot_interval)
-    received = ReceivedSequence(samples=samples, true_gains=gains,
-                                noise_variance=noise_variance)
-    return frame, received

@@ -1,5 +1,6 @@
 """Tests for the experiment driver: config format, sweeps, snapshots, CLI."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -28,10 +29,9 @@ from plasmalink.bench import (
     run_learning_snapshots,
     run_ser_sweep,
 )
-from plasmalink.cli import main
+from plasmalink.cli import _RUN_FLAGS, _resolve_config, build_parser, main
 from plasmalink.em import demodulate
 from plasmalink.exceptions import ConfigError
-from plasmalink.link import load_sequence_csv
 
 
 def quick_config(**overrides):
@@ -64,7 +64,7 @@ def valid_configs():
         constant_level=st.none() | st.floats(*n_e),
         bits_per_symbol=st.integers(1, 4),
         frame_length=st.integers(64, 10**6),
-        pilot_intervals=st.lists(st.integers(1, 64), min_size=1,
+        pilot_intervals=st.lists(st.integers(2, 64), min_size=1,
                                  max_size=4, unique=True).map(tuple),
         snr_db=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=5,
                         unique_by=bench._snr_key).map(tuple),
@@ -342,10 +342,23 @@ class TestSnapshots:
         got = np.array([int(line.split(",")[1]) for line in dec_lines[2:]])
         np.testing.assert_array_equal(got, expect)
 
-        # the received dump round-trips through the link reader
-        frame2, rx2 = load_sequence_csv(tmp_path / "received.csv")
-        np.testing.assert_array_equal(frame2.symbols, frame.symbols)
-        np.testing.assert_allclose(rx2.samples, rx.samples, rtol=1e-15)
+        # the received dump holds the frame and the samples exactly
+        with (tmp_path / "received.csv").open(newline="") as fh:
+            assert fh.readline() == "# schema: received_sequence v1\n"
+            seq = list(csv.DictReader(fh))
+
+        def column(name, kind=float):
+            return np.array([kind(r[name]) for r in seq])
+
+        pilot = np.zeros(len(frame), dtype=int)
+        pilot[frame.pilot_positions] = 1
+        np.testing.assert_array_equal(column("true_symbol", int),
+                                      frame.symbols)
+        np.testing.assert_array_equal(column("pilot_flag", int), pilot)
+        np.testing.assert_array_equal(column("I") + 1j * column("Q"),
+                                      rx.samples)
+        np.testing.assert_array_equal(
+            column("gain_I") + 1j * column("gain_Q"), rx.true_gains)
 
         # posterior dump rows are stochastic
         w_lines = (tmp_path / "weights.csv").read_text().splitlines()
@@ -378,6 +391,12 @@ class TestFadingEstimation:
         errs = [float(line.split(",")[6]) for line in lines[2:2 + 512]]
         rmse = float(np.sqrt(np.mean(np.square(errs))))
         assert rmse == pytest.approx(summaries[0]["rmse"], rel=1e-12)
+
+
+# a valid text for every run flag
+FLAG_TEXTS = {"--seed": "7", "--outdir": "runs/a b", "--snr": "0, 4",
+              "--intervals": "16,256", "--trials": "3",
+              "--receivers": "smn, genie_ml", "--workers": "2"}
 
 
 class TestCli:
@@ -465,6 +484,33 @@ class TestCli:
         assert code == 2
         assert "comma-separated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, text, key", [
+        ("ser-sweep", "--seed", "x", "seed"),
+        ("ser-sweep", "--seed", "1.5", "seed"),
+        ("ser-sweep", "--snr", "ten", "snr_db"),
+        ("ser-sweep", "--snr", "0, 4dB", "snr_db"),
+        ("ser-sweep", "--intervals", "1.5", "pilot_intervals"),
+        ("ser-sweep", "--trials", "1.5", "trials"),
+        ("ser-sweep", "--trials", "", "trials"),
+        ("ser-sweep", "--workers", "x", "workers"),
+        ("snapshots", "--seed", "x", "seed"),
+        ("fading", "--intervals", "x", "pilot_intervals"),
+        ("validate-physics", "--seed", "x", "seed"),
+    ])
+    def test_wrong_type_flag_one_line(self, capsys, command, flag, text,
+                                      key):
+        code = main([command, flag, text])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert key in err
+
+    @pytest.mark.parametrize("flag, key", [(f, k) for f, k, _ in _RUN_FLAGS])
+    def test_flags_parse_like_config_keys(self, flag, key):
+        text = FLAG_TEXTS[flag]
+        args = build_parser().parse_args(["ser-sweep", flag, text])
+        assert _resolve_config(args) == config_from_text(f"{key} = {text}\n")
+
     @pytest.mark.parametrize("command, config_text, flags", [
         ("ser-sweep", "", ["--receivers", ""]),
         ("ser-sweep", "pilot_intervals =\n", []),
@@ -503,6 +549,8 @@ class TestCli:
         ("ser-sweep", "collision_freq_hz = 1e300\n", []),
         ("ser-sweep", "carrier_freq_hz = 1e-300\ncollision_freq_hz = 0\n", []),
         ("ser-sweep", "n_e_max = 1.7e308\n", []),
+        ("fading", "", ["--intervals", "1"]),
+        ("ser-sweep", "pilot_intervals = 1\n", []),
     ], ids=["no-receivers", "no-intervals", "nan-snr", "snapshots-no-snr",
             "fading-no-snr", "duplicate-snr", "zero-interval",
             "interval-over-frame", "huge-snr", "colliding-snr",
@@ -514,7 +562,8 @@ class TestCli:
             "density-min-nan", "density-max-inf", "negative-seed",
             "negative-seed-flag", "zero-symbol-rate", "zero-oscillation",
             "nan-oscillation", "constant-level-outside", "huge-carrier",
-            "huge-collision", "tiny-carrier", "huge-density"])
+            "huge-collision", "tiny-carrier", "huge-density",
+            "fading-interval-one", "sweep-interval-one"])
     def test_bad_config_exit_two(self, tmp_path, capsys, command,
                                  config_text, flags):
         # a short base run, so a check that lets the input through fails
