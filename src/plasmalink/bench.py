@@ -385,13 +385,19 @@ GROUP_CELLS = 4
 
 def _cell_groups(cells):
     """Lockstep groups of (snr, interval, trial) cells: job order, bucketed
-    by pilot interval, at most GROUP_CELLS each. A cell's group depends on
-    the job list alone, never on the worker count."""
-    buckets = {}
+    by pilot interval, each bucket of n cells cut into ceil(n / GROUP_CELLS)
+    consecutive groups whose sizes differ by at most one, larger first. A
+    cell's group depends on the job list alone, never on the worker
+    count."""
+    buckets, groups = {}, []
     for cell in cells:
         buckets.setdefault(cell[1], []).append(cell)
-    return [bucket[i:i + GROUP_CELLS] for bucket in buckets.values()
-            for i in range(0, len(bucket), GROUP_CELLS)]
+    for bucket in buckets.values():
+        count = -(-len(bucket) // GROUP_CELLS)
+        size, extra = divmod(len(bucket), count)
+        cuts = [g * size + min(g, extra) for g in range(count + 1)]
+        groups += [bucket[a:b] for a, b in zip(cuts, cuts[1:])]
+    return groups
 
 
 def _group_worker(job):

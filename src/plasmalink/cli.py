@@ -49,7 +49,8 @@ __all__ = ["main"]
 _RUN_FLAGS = (
     ("--seed", "seed", "override base seed"),
     ("--outdir", "out_dir", "override output directory"),
-    ("--snr", "snr_db", "override SNR list, e.g. 0,4,8 (dB)"),
+    ("--snr", "snr_db", "override SNR list, e.g. 0,4,8 (dB); a list that "
+     "starts with a minus sign takes the = form, --snr=-4,0"),
     ("--intervals", "pilot_intervals", "override pilot intervals, e.g. 16,256"),
     ("--trials", "trials", "override trials per cell"),
     ("--receivers", "receivers", "override receiver list, comma-separated"),

@@ -70,22 +70,21 @@ group of one). A pass holds at most PASS_COLUMNS cells x curves x rows,
 so a group's pilot batches share one pass and its frame batches take a
 pass per cell or few.
 
-The SMN passes write every temporary into preallocated buffers, one set
-per (cells, K, widths, rows) shape, kept in a small per-thread cache, so a
-training step reuses the same memory instead of paging in fresh arrays.
-Each set also owns a parameter buffer in augmented order, with the layer
-views of it and of its gradient built once; a pass starts by gathering
-the model's parameters in and ends by scattering the gradient back to the
-flat order. Every buffer is written before it is read, except the ones
-rows, which are written when the buffer is made and never again, so
-earlier calls never change a result, and what a public function returns
-is always a fresh array.
+The SMN passes write every temporary into preallocated buffers that the
+Batch of their rows owns, one set per pass size, so every training step
+over one Batch reuses the same memory instead of paging in fresh arrays;
+the buffers go when the Batch goes, and a call given arrays builds its
+own Batch. Each set also owns a parameter buffer in augmented order, with
+the layer views of it and of its gradient built once; a pass starts by
+gathering the model's parameters in and ends by scattering the gradient
+back to the flat order. Every buffer is written before it is read,
+except the ones rows, which are written when the buffer is made and
+never again, so earlier calls never change a result, and what a public
+function returns is always a fresh array.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from itertools import zip_longest
 from dataclasses import dataclass, replace
 
@@ -388,39 +387,6 @@ class _Workspace:
 # memory one cell needs.
 PASS_COLUMNS = 4096
 
-# The most recently used workspaces of this thread; a fit needs two (pilot
-# rows and frame rows), and a third when a group's last pass is short.
-_WORKSPACES = threading.local()
-_WORKSPACE_LIMIT = 4
-
-
-def _workspace(model: SmnModel, cells: int, rows: int) -> _Workspace:
-    cache = getattr(_WORKSPACES, "cache", None)
-    if cache is None:
-        cache = _WORKSPACES.cache = OrderedDict()
-    key = (cells, model.order, model.encoder_widths, model.decoder_widths,
-           rows)
-    ws = cache.pop(key, None)
-    if ws is None:
-        ws = _Workspace(*key)
-    cache[key] = ws  # most recently used last
-    if len(cache) > _WORKSPACE_LIMIT:
-        cache.popitem(last=False)
-    return ws
-
-
-def _cell_params(model: SmnModel) -> np.ndarray:
-    """The parameters as (C, P) rows, one per cell; one cell's (P,) vector
-    is a group of one."""
-    return model.params.reshape(-1, model.params.shape[-1])
-
-
-def _passes(cells: int, curves: int, rows: int):
-    """Cell slices of the passes over a group: as many cells per pass as
-    PASS_COLUMNS allows, and at least one."""
-    per = max(1, PASS_COLUMNS // (curves * rows))
-    return [slice(i, min(i + per, cells)) for i in range(0, cells, per)]
-
 
 def _forward(params: np.ndarray, x: np.ndarray, ws: _Workspace):
     """Canonical curve points, on every curve of the cells whose (cells, P)
@@ -439,16 +405,12 @@ def _forward(params: np.ndarray, x: np.ndarray, ws: _Workspace):
 def project_all(model: SmnModel, y: np.ndarray) -> np.ndarray:
     """Projections onto every curve: (m, K, 2) for one cell's (m, 2) rows,
     (m, C, K, 2) for a group's (m, C, 2) rows."""
-    params = _cell_params(model)
-    m, c = len(y), len(params)
-    # rows-first (m, C, 2); one cell's rows are a group of one
-    x = mlp_input(np.reshape(y, (m, c, 2)).transpose(1, 2, 0)[:, None])
+    batch = Batch(model, y)
     re = model.transforms[:, 0, :1]
     im = model.transforms[:, 1, :1]
-    proj = np.empty((m, c, model.order, 2))
-    for part in _passes(c, model.order, m):
-        ws = _workspace(model, part.stop - part.start, m)
-        _forward(params[part], x[part], ws)
+    proj = np.empty((len(batch),) + batch.w.shape[:2] + (2,))
+    for part, params, ws in _cell_passes(model, batch):
+        _forward(params, batch.x[part], ws)
         # x_k p in complex form, into the output; the angle, spent, is
         # scratch
         p0, p1, tmp = ws.tmp, ws.tmp2, ws.angle
@@ -505,9 +467,15 @@ class Batch:
     The pass compares the decoder's canonical point p with u_k: for a
     unit-modulus symbol ||y - x_k p|| = ||conj(x_k) y - p||, so a model
     whose transforms are not rotations is refused. len() is the row count.
+
+    A Batch also owns the buffers of its passes, for its model's widths:
+    passes lists each pass's slice of the cells, as many cells as
+    PASS_COLUMNS allows and at least one, with a workspace per distinct
+    pass size. Every pass writes into them, so a Batch serves one thread
+    at a time.
     """
 
-    __slots__ = ("x", "u", "w")
+    __slots__ = ("x", "u", "w", "widths", "passes")
 
     def __init__(self, model: SmnModel, y, w=None):
         y = np.asarray(y, dtype=float)
@@ -535,6 +503,14 @@ class Batch:
         self.w = np.zeros((c, model.order, m))
         if w is not None:
             self.reweigh(w.reshape(m, c, -1).transpose(1, 2, 0))
+        self.widths = (model.encoder_widths, model.decoder_widths)
+        per = max(1, PASS_COLUMNS // (model.order * m))
+        spaces, self.passes = {}, []
+        for i in range(0, c, per):
+            size = min(per, c - i)
+            if size not in spaces:
+                spaces[size] = _Workspace(size, model.order, *self.widths, m)
+            self.passes.append((slice(i, i + size), spaces[size]))
 
     def __len__(self) -> int:
         return self.x.shape[-1]
@@ -553,15 +529,17 @@ class Batch:
 
 
 def _cell_passes(model: SmnModel, batch: Batch):
-    """Per pass over a Batch built for the model: its slice of the cells,
+    """Per pass of a Batch built for the model: its slice of the cells,
     their (cells, P) parameters and the pass's workspace."""
-    params = _cell_params(model)
-    c, m = len(params), len(batch)
-    if batch.w.shape[:2] != (c, model.order):
-        raise ValueError(f"batch of {batch.w.shape[:2]} cells x curves "
-                         f"for a model of {(c, model.order)}")
-    for part in _passes(c, model.order, m):
-        yield part, params[part], _workspace(model, part.stop - part.start, m)
+    params = model.params.reshape(-1, model.params.shape[-1])
+    got = batch.w.shape[:2], batch.widths
+    want = ((len(params), model.order),
+            (model.encoder_widths, model.decoder_widths))
+    if got != want:
+        raise ValueError(f"batch of {got[0]} cells x curves and widths "
+                         f"{got[1]} for a model of {want[0]} and {want[1]}")
+    for part, ws in batch.passes:
+        yield part, params[part], ws
 
 
 def _distance_pass(params: np.ndarray, batch: Batch, part: slice,

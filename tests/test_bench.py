@@ -511,6 +511,10 @@ class TestCli:
         args = build_parser().parse_args(["ser-sweep", flag, text])
         assert _resolve_config(args) == config_from_text(f"{key} = {text}\n")
 
+    def test_negative_snr_list_takes_equals_form(self):
+        args = build_parser().parse_args(["ser-sweep", "--snr=-4,0"])
+        assert _resolve_config(args).snr_db == (-4.0, 0.0)
+
     @pytest.mark.parametrize("command, config_text, flags", [
         ("ser-sweep", "", ["--receivers", ""]),
         ("ser-sweep", "pilot_intervals =\n", []),

@@ -1,6 +1,7 @@
 """Tests for the EM training loop: posteriors, bound, schedule, extraction."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,26 @@ class TestFit:
             np.testing.assert_array_equal(p, q)
         assert len(result.trace) == 1
         assert result.trace[0].phase == "pretrain"
+
+    def test_fit_leaves_no_buffers_behind(self):
+        # the pass buffers belong to the fit's Batches and go with them;
+        # the traced fit takes a width no other test fits, so no buffers
+        # of the same shape made earlier can stand in for its own
+        const, frame, rx = static_run(0.8, m=1024, interval=16,
+                                      snr_db=12.0, seed=58)
+        schedule = EmSchedule(pretrain_steps=20, em_iterations=2,
+                              mstep_steps=10)
+        fit(rx, frame, const, schedule, rng_seed=58)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = fit(rx, frame, const, schedule, rng_seed=58,
+                         hidden_units=7)
+            del result
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 64 * 1024
 
     def test_bit_reproducible(self):
         const, frame, rx = static_run(0.7 + 0.2j, snr_db=8.0, seed=51)

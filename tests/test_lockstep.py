@@ -62,7 +62,8 @@ def lone_and_grouped(const, group):
 
 
 class TestKernel:
-    @pytest.mark.parametrize("bits, rows", [(2, 16), (2, 1024), (4, 200)])
+    @pytest.mark.parametrize("bits, rows", [(2, 16), (2, 1024), (4, 200),
+                                            (2, 512)])
     def test_group_pass_equals_lone_passes(self, bits, rows):
         const = build_constellation(bits)
         k, c = const.order, 3
@@ -200,6 +201,16 @@ class TestGroupedStudies:
             [(1.0, 16, 0), (1.0, 16, 1)], [(1.0, 16, 2), (2.0, 16, 0)],
             [(2.0, 16, 1), (2.0, 16, 2)], [(1.0, 32, 0), (1.0, 32, 1)],
             [(1.0, 32, 2), (2.0, 32, 0)], [(2.0, 32, 1), (2.0, 32, 2)]]
+
+    def test_groups_split_buckets_evenly(self, monkeypatch):
+        # 22 cells: 4,4,4,4,3,3, not 4,4,4,4,4,2; 5 cells: 3,2, not 4,1
+        monkeypatch.setattr(bench, "GROUP_CELLS", 4)
+        for n, sizes in [(22, [4, 4, 4, 4, 3, 3]), (5, [3, 2]), (4, [4]),
+                         (1, [1])]:
+            jobs = [(float(i), 16, 0) for i in range(n)]
+            groups = bench._cell_groups(jobs)
+            assert [len(g) for g in groups] == sizes
+            assert [cell for g in groups for cell in g] == jobs
 
     def test_sweep_csv_independent_of_group_size_and_workers(
             self, tmp_path, monkeypatch):

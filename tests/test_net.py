@@ -26,6 +26,7 @@ from plasmalink.net import (
     adam_step,
     collect_params,
     decode_curve,
+    distances,
     encode,
     init_adam,
     init_model,
@@ -362,8 +363,8 @@ class TestWorkspaces:
         return loss, grads, project_all(model, y), encode(model, y)
 
     def test_interleaved_shapes_bit_identical(self):
-        # references from a fresh thread, whose workspace cache is empty;
-        # then n=16, n=4096, K=16, n=16 with other rows, n=16 again here
+        # references from a fresh thread; then n=16, n=4096, K=16, n=16
+        # with other rows, n=16 again here
         cases = self.cases()
         fresh = []
         worker = threading.Thread(
@@ -425,16 +426,16 @@ class TestWorkspaces:
             np.testing.assert_array_equal(a, b)
 
     def test_warm_calls_build_no_layer_views(self, monkeypatch):
+        # the layer views are built with the Batch, once
         model, y, w = self.cases()[0]
-        loss_and_gradients(model, y, w)
-        project_all(model, y)
+        batch = Batch(model, y, w)
         calls = []
         real = net.mlp_layers
         monkeypatch.setattr(net, "mlp_layers",
                             lambda *a: calls.append(1) or real(*a))
         for _ in range(10):
-            loss_and_gradients(model, y, w)
-            project_all(model, y)
+            loss_and_gradients(model, batch)
+            distances(model, batch)
         assert calls == []
 
     @pytest.mark.skipif(resource is None, reason="needs getrusage")
@@ -491,7 +492,8 @@ class TestAugmentedOrder:
     def test_workspace_round_trip_is_exact(self, bits, hidden):
         model = init_model(build_constellation(bits), rng_seed=bits,
                            hidden_units=hidden)
-        ws = net._workspace(model, 1, 16)
+        ws = net._Workspace(1, model.order, model.encoder_widths,
+                            model.decoder_widths, 16)
         params = model.params[None]
         np.testing.assert_array_equal(
             params.take(ws.gather, axis=1).take(ws.scatter, axis=1), params)
@@ -553,6 +555,9 @@ class TestBatch:
             loss_and_gradients(init_model(build_constellation(1), 55), batch)
         with pytest.raises(ValueError):
             loss_and_gradients(group_of(model, 2), batch)
+        with pytest.raises(ValueError, match="widths"):
+            loss_and_gradients(init_model(build_constellation(2), 55,
+                                          hidden_units=3), batch)
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-9, 0.5, np.nan])
     def test_refuses_non_unit_transforms(self, scale):
@@ -571,9 +576,8 @@ class TestBatch:
 
     def test_no_stale_ones_rows(self):
         # the ones rows of the layer inputs are written when a workspace is
-        # made and never again: calls in any order on shared workspaces
-        # match a fresh thread's (whose cache is empty), forward passes
-        # taken before any backward pass there
+        # made and never again: calls in any order match a fresh thread's,
+        # forward passes taken before any backward pass there
         qpsk = build_constellation(2)
         a_model = init_model(qpsk, rng_seed=61, init_std=2.0)
         b_model = init_model(qpsk, rng_seed=62, init_std=0.5)
