@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -261,16 +262,16 @@ def config_from_text(text: str) -> ExperimentConfig:
 
         if name in ("n_e_min_per_m3", "n_e_max_per_m3",
                     "n_e_min_per_cm3", "n_e_max_per_cm3"):
-            target = "n_e_min" if "min" in name else "n_e_max"
+            field = "n_e_min" if "min" in name else "n_e_max"
             scale = 1e6 if name.endswith("per_cm3") else 1.0
-            if target in values:
-                raise ConfigError(f"line {lineno}: {target} given twice "
-                                  "(mixed density units?)")
-            values[target] = scale * _typed(name, val, float)
-            continue
-        if name not in _DEFAULTS:
+            value = scale * _typed(name, val, float)
+        elif name in _DEFAULTS:
+            field, value = name, parse_value(name, val)
+        else:
             raise ConfigError(f"line {lineno}: unknown key {name!r}")
-        values[name] = parse_value(name, val)
+        if field in values:
+            raise ConfigError(f"line {lineno}: {field} given twice")
+        values[field] = value
     return ExperimentConfig(**values)
 
 
@@ -299,13 +300,27 @@ def _archive_config(out_dir: Path, config: ExperimentConfig) -> None:
 # channel and cell plumbing
 
 
+# the config key of each channel or trajectory field whose physics name
+# differs, as a physics error names the field
+_CHANNEL_KEYS = {
+    "carrier_angular_freq": "carrier_freq_hz",
+    "collision_angular_freq": "collision_freq_hz",
+    "sheath_thickness": "sheath_thickness_m",
+    "density_range": "n_e_min and n_e_max",
+    "oscillation_freq": "oscillation_freq_hz",
+    "phase_offset": "phase_offset_rad",
+    "symbol_rate": "symbol_rate_hz",
+}
+
+
 def build_channel(config: ExperimentConfig):
     """Channel params (calibrating z if unset) and the gain sequence.
 
-    The physics checks the channel and trajectory fields here and raises
-    ConfigError, as this does when values that pass leave floating-point
-    range (a carrier of 1e300 Hz squares to inf, one of 1e-300 Hz to 0).
-    The studies build the channel before they write any file.
+    The physics checks the channel and trajectory fields here; its
+    ConfigError is raised again with each field named by its config key.
+    Values that pass but leave floating-point range (a carrier of 1e300 Hz
+    squares to inf, one of 1e-300 Hz to 0) raise ConfigError too. The
+    studies build the channel before they write any file.
     """
     with np.errstate(all="ignore"):
         try:
@@ -324,6 +339,10 @@ def build_channel(config: ExperimentConfig):
                 length=config.frame_length, symbol_rate=config.symbol_rate_hz,
                 constant_level=config.constant_level)
             gains = channel_gain(density_trajectory(traj, params), params)
+        except ConfigError as exc:
+            raise ConfigError(" ".join(_CHANNEL_KEYS.get(word, word)
+                                       for word in str(exc).split(" "))
+                              ) from None
         except (OverflowError, ZeroDivisionError):
             raise ConfigError("carrier_freq_hz or collision_freq_hz takes the "
                               "channel physics out of float range") from None
@@ -400,26 +419,21 @@ def _cell_groups(cells):
     return groups
 
 
-def _group_worker(job):
-    run, *args = job
-    return run(*args)
-
-
 def _map_cells(config: ExperimentConfig, gains: np.ndarray, es: float,
                run, cells) -> dict:
     """run(config, gains, es, group) -> one output per cell, for every
     lockstep group of the cells; returns cell -> output. The groups go
     through a process pool when there are several and workers > 1."""
     groups = _cell_groups(cells)
-    jobs = [(run, config, gains, es, group) for group in groups]
+    run = partial(run, config, gains, es)
     workers = min(config.workers, len(groups))
     if workers > 1:
         # imported here: a serial run, and every start-up, skips its cost
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_group_worker, jobs))
+            outputs = list(pool.map(run, groups))
     else:
-        outputs = [_group_worker(job) for job in jobs]
+        outputs = [run(group) for group in groups]
     return {cell: out for group, outs in zip(groups, outputs)
             for cell, out in zip(group, outs)}
 
@@ -675,8 +689,7 @@ def _fading_group(config: ExperimentConfig, gains: np.ndarray, es: float,
     fits = fit(received, frames, const, config.schedule(), rng_seed=seeds,
                hidden_units=config.hidden_units, init_std=config.init_std)
     return [(rx.true_gains, extract_fading_curve(
-                result.model, rx, result.weights, const,
-                frame=frame).estimates)
+                result.model, rx, result.weights, frame=frame).estimates)
             for result, frame, rx in zip(fits, frames, received)]
 
 

@@ -32,14 +32,15 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .link import Constellation, Frame, ReceivedSequence
-# collect_params and with_params are no longer called here; they stay
-# importable from this module because the benchmark's tracer
+# collect_params, with_params and project_all are no longer called here;
+# they stay importable from this module because the benchmark's tracer
 # (perfbench/spans.py) patches them as attributes of it.
 from .net import (  # noqa: F401
     Batch,
     SmnModel,
     adam_step,
     collect_params,
+    decode,
     decode_curve,
     distances,
     encode,
@@ -443,24 +444,22 @@ def demodulate(w: np.ndarray) -> np.ndarray:
 
 
 def extract_fading_curve(model: SmnModel, received: ReceivedSequence,
-                         w: np.ndarray, constellation: Constellation,
-                         frame: Frame | None = None,
+                         w: np.ndarray, frame: Frame | None = None,
                          lam_grid: np.ndarray | None = None,
                          grid_size: int = 201) -> FadingEstimate:
     """Learned fading curves plus the per-sample channel-gain estimate.
 
-    Each sample's projection onto its decided symbol's curve, gathered
-    from the all-curves pass the E-step distances come from, divided by
-    the symbol recovers the gain estimate s_hat = proj / x_k. The default
-    coordinate grid spans the payload samples' observed encoder outputs
-    (pilots excluded so a short pilot set cannot shrink the span).
+    Curve k is x_k times the canonical curve, which is the fading
+    trajectory itself, so a sample's gain estimate is the canonical point
+    (encode, then decode) at its coordinate on its decided symbol's curve.
+    The default coordinate grid spans the payload samples' observed encoder
+    outputs (pilots excluded so a short pilot set cannot shrink the span).
     """
     decisions = demodulate(w)
-    y = received.iq()
     rows = np.arange(len(decisions))
-    lam = encode(model, y)[rows, decisions]
-    proj = project_all(model, y)[rows, decisions]
-    estimates = (proj[:, 0] + 1j * proj[:, 1]) / constellation.points[decisions]
+    lam = encode(model, received.iq())[rows, decisions]
+    canonical = decode(model, lam)
+    estimates = canonical[:, 0] + 1j * canonical[:, 1]
 
     payload = rows if frame is None else frame.payload_positions
     if len(payload) == 0:

@@ -36,8 +36,10 @@ p x g, so with g = dL/dp the backward pass needs neither T_k nor the angle:
     dL/d(radius logit) = (1 - rho) <p, g>
     dL/d(theta)        = p x g
 
-project_all rotates p by x_k onto the curves; it serves only the fading
-estimate.
+That is the training path: a Batch, its buffers and _distance_pass. A
+fitted cell is read through the inference path, encode and then decode
+(the canonical points, which are the fading estimate), with no Batch;
+decode_curve and project_all rotate those points by T_k onto the curves.
 
 Everything here is plain numpy with hand-written backprop. All trainable
 parameters live in one flat float64 vector: encoder 0, ..., encoder K-1,
@@ -59,7 +61,7 @@ contiguous, so all K encoders run as one stack, and their K coordinate
 rows, side by side, take one pass of the shared decoder. There is one
 such pass: every distance, projection, loss and gradient covers all K
 curves, and a caller that wants one symbol's curve per row gathers it from
-project_all's (rows, K, 2) output or encode's (rows, K) coordinates.
+encode's (rows, K) coordinates.
 
 A lockstep group of C cells of one shape holds its parameters as (C, P)
 rows, one flat vector per cell, and takes rows-first batches, (m, C, 2).
@@ -108,6 +110,7 @@ __all__ = [
     "mlp_backward",
     "project_all",
     "encode",
+    "decode",
     "decode_curve",
     "Batch",
     "distances",
@@ -319,6 +322,48 @@ def _polar(rho, angle, out0, out1):
     out1 += out1
 
 
+def encode(model: SmnModel, y: np.ndarray) -> np.ndarray:
+    """Curve coordinates of one cell's (m, 2) IQ rows under every symbol's
+    encoder, (m, K): the K encoders as one stack."""
+    widths = model.encoder_widths
+    blocks = model.params[:model.decoder_slice.start].reshape(model.order, -1)
+    lam, _ = mlp_forward(
+        mlp_layers(widths, blocks.take(mlp_order(widths), axis=1)),
+        mlp_input(np.asarray(y, dtype=float).T))
+    return lam[:, 0].T
+
+
+def decode(model: SmnModel, lam) -> np.ndarray:
+    """Canonical curve points at the given coordinates, (len(lam), 2): one
+    pass of the shared decoder, before any symbol's T_k."""
+    widths = model.decoder_widths
+    block = model.params[model.decoder_slice].take(mlp_order(widths))
+    u, _ = mlp_forward(mlp_layers(widths, block),
+                       mlp_input(np.asarray(lam, dtype=float)[None]))
+    rho, angle = u
+    cart = np.empty((2, rho.size))
+    _sigmoid(rho, rho, cart[0], np.empty(rho.shape, dtype=bool))
+    _polar(rho, angle, cart[0], cart[1])
+    return cart.T
+
+
+def decode_curve(model: SmnModel, lam_grid: np.ndarray) -> np.ndarray:
+    """Sample every symbol curve at the given coordinates.
+
+    Returns (K, len(lam_grid), 2); row k is T_k applied to the canonical
+    curve, so the K polylines are rigid copies of one another.
+    """
+    return (model.transforms @ decode(model, lam_grid).T).transpose(0, 2, 1)
+
+
+def project_all(model: SmnModel, y: np.ndarray) -> np.ndarray:
+    """Projections of one cell's (m, 2) rows onto every curve, (m, K, 2):
+    each row's canonical point at its coordinate on curve k, T_k applied."""
+    lam = encode(model, y)
+    p = decode(model, lam.T.ravel()).reshape(model.order, len(lam), 2)
+    return (p @ model.transforms.mT).transpose(1, 0, 2)
+
+
 class _Workspace:
     """Every buffer an SMN pass over C cells of S = K curves each and m
     rows writes into."""
@@ -386,70 +431,6 @@ class _Workspace:
 # stacking saves nothing and its buffers would outgrow the cache and the
 # memory one cell needs.
 PASS_COLUMNS = 4096
-
-
-def _forward(params: np.ndarray, x: np.ndarray, ws: _Workspace):
-    """Canonical curve points, on every curve of the cells whose (cells, P)
-    parameters are given, of their rows x, (cells, 1, 3, m) with the ones
-    row, into ws.tmp and ws.tmp2. Returns the MLP caches of the encoders
-    and of the decoder."""
-    np.take(params, ws.gather, axis=1, out=ws.params, mode="clip")
-    _, enc_cache = mlp_forward(ws.enc_layers, x, ws.enc_acts)
-    _, dec_cache = mlp_forward(ws.dec_layers, ws.lam, ws.dec_acts)
-    rho, p0, p1 = ws.rho, ws.tmp, ws.tmp2
-    _sigmoid(rho, rho, p1, ws.mask)
-    _polar(rho, ws.angle, p0, p1)
-    return enc_cache, dec_cache
-
-
-def project_all(model: SmnModel, y: np.ndarray) -> np.ndarray:
-    """Projections onto every curve: (m, K, 2) for one cell's (m, 2) rows,
-    (m, C, K, 2) for a group's (m, C, 2) rows."""
-    batch = Batch(model, y)
-    re = model.transforms[:, 0, :1]
-    im = model.transforms[:, 1, :1]
-    proj = np.empty((len(batch),) + batch.w.shape[:2] + (2,))
-    for part, params, ws in _cell_passes(model, batch):
-        _forward(params, batch.x[part], ws)
-        # x_k p in complex form, into the output; the angle, spent, is
-        # scratch
-        p0, p1, tmp = ws.tmp, ws.tmp2, ws.angle
-        q0, q1 = proj[:, part].transpose(3, 1, 2, 0)
-        np.multiply(re, p0, out=q0)
-        np.multiply(im, p1, out=tmp)
-        q0 -= tmp
-        np.multiply(im, p0, out=q1)
-        np.multiply(re, p1, out=tmp)
-        q1 += tmp
-    return proj[:, 0] if model.params.ndim == 1 else proj
-
-
-def encode(model: SmnModel, y: np.ndarray) -> np.ndarray:
-    """Curve coordinates of one cell's (m, 2) IQ rows under every symbol's
-    encoder, (m, K): the K encoders as one stack."""
-    widths = model.encoder_widths
-    blocks = model.params[:model.decoder_slice.start].reshape(model.order, -1)
-    lam, _ = mlp_forward(
-        mlp_layers(widths, blocks.take(mlp_order(widths), axis=1)),
-        mlp_input(np.asarray(y, dtype=float).T))
-    return lam[:, 0].T
-
-
-def decode_curve(model: SmnModel, lam_grid: np.ndarray) -> np.ndarray:
-    """Sample every symbol curve at the given coordinates.
-
-    Returns (K, len(lam_grid), 2); row k is T_k applied to the canonical
-    curve, so the K polylines are rigid copies of one another.
-    """
-    widths = model.decoder_widths
-    block = model.params[model.decoder_slice].take(mlp_order(widths))
-    u, _ = mlp_forward(mlp_layers(widths, block),
-                       mlp_input(np.asarray(lam_grid, dtype=float)[None]))
-    rho, angle = u
-    cart = np.empty((2, rho.size))
-    _sigmoid(rho, rho, cart[0], np.empty(rho.shape, dtype=bool))
-    _polar(rho, angle, cart[0], cart[1])
-    return (model.transforms @ cart).transpose(0, 2, 1)
 
 
 class Batch:
@@ -544,19 +525,26 @@ def _cell_passes(model: SmnModel, batch: Batch):
 
 def _distance_pass(params: np.ndarray, batch: Batch, part: slice,
                    ws: _Workspace, d2: np.ndarray):
-    """_forward over the cells of a batch in part, whose parameters are
-    given, their canonical residuals p - u_k into ws.scratch and the
-    squared distances, the residuals' squared norms, into d2, (c, K, m);
-    returns the MLP caches and the residuals."""
-    caches = _forward(params, batch.x[part], ws)
+    """The canonical curve points p on every curve of the cells of a batch
+    in part, whose (cells, P) parameters are given, into ws.tmp and
+    ws.tmp2, their residuals p - u_k into ws.scratch and the squared
+    distances, the residuals' squared norms, into d2, (c, K, m); returns
+    the MLP caches of the encoders and of the decoder, and the
+    residuals."""
+    np.take(params, ws.gather, axis=1, out=ws.params, mode="clip")
+    _, enc_cache = mlp_forward(ws.enc_layers, batch.x[part], ws.enc_acts)
+    _, dec_cache = mlp_forward(ws.dec_layers, ws.lam, ws.dec_acts)
+    p0, p1 = ws.tmp, ws.tmp2
+    _sigmoid(ws.rho, ws.rho, p1, ws.mask)
+    _polar(ws.rho, ws.angle, p0, p1)
     d0, d1, _ = ws.scratch
-    np.subtract(ws.tmp, batch.u[0, part], out=d0)
-    np.subtract(ws.tmp2, batch.u[1, part], out=d1)
+    np.subtract(p0, batch.u[0, part], out=d0)
+    np.subtract(p1, batch.u[1, part], out=d1)
     # angle holds tan(theta/2), spent: scratch until the angle gradient
     np.multiply(d0, d0, out=d2)
     np.multiply(d1, d1, out=ws.angle)
     d2 += ws.angle
-    return caches, d0, d1
+    return (enc_cache, dec_cache), d0, d1
 
 
 def distances(model: SmnModel, batch: Batch) -> np.ndarray:

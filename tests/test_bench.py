@@ -34,6 +34,15 @@ from plasmalink.em import demodulate
 from plasmalink.exceptions import ConfigError
 
 
+# a field given twice, and its name: by its own key, then in another
+# unit; the reverse; and a plain repeat
+DUPLICATE_KEYS = pytest.mark.parametrize("text, field", [
+    ("n_e_min = 2e22\nn_e_min_per_cm3 = 3e16\n", "n_e_min"),
+    ("n_e_min_per_cm3 = 3e16\nn_e_min = 2e22\n", "n_e_min"),
+    ("seed = 1\nseed = 2\n", "seed")],
+    ids=["field-then-unit", "unit-then-field", "plain"])
+
+
 def quick_config(**overrides):
     base = dict(frame_length=512, pilot_intervals=(16,), snr_db=(14.0,),
                 pretrain_steps=150, em_iterations=2, mstep_steps=30,
@@ -106,6 +115,13 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="twice"):
             config_from_text("n_e_min_per_m3 = 1e22\n"
                              "n_e_min_per_cm3 = 1e16\n")
+
+    @DUPLICATE_KEYS
+    def test_duplicate_key_rejected(self, text, field):
+        # one check for every field, whichever unit or order sets it
+        with pytest.raises(ConfigError,
+                           match=rf"^line 2: {field} given twice$"):
+            config_from_text(text)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -571,11 +587,17 @@ class TestCli:
     def test_bad_config_exit_two(self, tmp_path, capsys, command,
                                  config_text, flags):
         # a short base run, so a check that lets the input through fails
-        # the test quickly instead of starting a full default sweep
-        base = ("frame_length = 512\npilot_intervals = 16\ntrials = 1\n"
-                "receivers = genie_ml\npretrain_steps = 20\n"
-                "em_iterations = 1\nmstep_steps = 5\n")
-        (tmp_path / "run.txt").write_text(base + config_text)
+        # the test quickly instead of starting a full default sweep; a key
+        # the case sets is left out of it, as a key given twice is an
+        # error of its own
+        base = {"frame_length": 512, "pilot_intervals": 16, "trials": 1,
+                "receivers": "genie_ml", "pretrain_steps": 20,
+                "em_iterations": 1, "mstep_steps": 5}
+        given = {line.partition("=")[0].strip()
+                 for line in config_text.splitlines()}
+        (tmp_path / "run.txt").write_text(
+            "".join(f"{key} = {value}\n" for key, value in base.items()
+                    if key not in given) + config_text)
         out = tmp_path / "out"
         # pytest captures warnings; record them here, where they count
         with warnings.catch_warnings(record=True) as caught:
@@ -586,4 +608,34 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "given twice" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("carrier_freq_hz", "nan"), ("collision_freq_hz", "-1"),
+        ("sheath_thickness_m", "-1"), ("n_e_min", "0"), ("n_e_max", "inf"),
+        ("oscillation_freq_hz", "0"), ("phase_offset_rad", "nan"),
+        ("symbol_rate_hz", "0")])
+    def test_bad_channel_field_names_its_key(self, tmp_path, capsys, key,
+                                             value):
+        (tmp_path / "run.txt").write_text(f"frame_length = 512\n"
+                                          f"{key} = {value}\n")
+        out = tmp_path / "out"
+        code = main(["ser-sweep", "--config", str(tmp_path / "run.txt"),
+                     "--outdir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert key in err
+        assert not out.exists()
+
+    @DUPLICATE_KEYS
+    def test_duplicate_key_exit_two(self, tmp_path, capsys, text, field):
+        (tmp_path / "run.txt").write_text(text)
+        out = tmp_path / "out"
+        code = main(["ser-sweep", "--config", str(tmp_path / "run.txt"),
+                     "--outdir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line 2: {field} given twice\n"
         assert not out.exists()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import plasmalink.em as em_module
+import plasmalink.net as net_module
 from plasmalink.em import (
     NOISE_VARIANCE_FLOOR,
     EmSchedule,
@@ -377,7 +378,7 @@ class TestExtractFadingCurve:
 
     def test_curves_are_rotated_copies(self):
         const, frame, rx, result = self.fitted()
-        est = extract_fading_curve(result.model, rx, result.weights, const,
+        est = extract_fading_curve(result.model, rx, result.weights,
                                    frame=frame)
         angles = np.angle(const.points)
         base = est.curves[0]
@@ -390,7 +391,7 @@ class TestExtractFadingCurve:
 
     def test_grid_spans_payload_lambda(self):
         const, frame, rx, result = self.fitted()
-        est = extract_fading_curve(result.model, rx, result.weights, const,
+        est = extract_fading_curve(result.model, rx, result.weights,
                                    frame=frame)
         y = rx.iq()
         payload = frame.payload_positions
@@ -400,7 +401,7 @@ class TestExtractFadingCurve:
 
     def test_grid_size_one(self):
         const, frame, rx, result = self.fitted()
-        est = extract_fading_curve(result.model, rx, result.weights, const,
+        est = extract_fading_curve(result.model, rx, result.weights,
                                    frame=frame, grid_size=1)
         assert est.lam_grid.shape == (1,)
         assert est.curves.shape == (const.order, 1, 2)
@@ -411,12 +412,41 @@ class TestExtractFadingCurve:
                           pilot_positions=np.arange(len(frame)),
                           pilot_interval=1)
         with pytest.raises(ValueError, match="payload"):
-            extract_fading_curve(result.model, rx, result.weights, const,
+            extract_fading_curve(result.model, rx, result.weights,
                                  frame=all_pilot)
+
+    def test_inference_path_builds_no_batch(self, monkeypatch):
+        # a fitted model is read through encode and decode: neither the
+        # fading estimate nor project_all lays out a training Batch, and
+        # the estimate calls no projection onto the curves
+        const, frame, rx, result = self.fitted()
+        batch, project = net_module.Batch, net_module.project_all
+        built, projected = [], []
+
+        def building(*args, **kwargs):
+            built.append(args)
+            return batch(*args, **kwargs)
+
+        def projecting(*args):
+            projected.append(args)
+            return project(*args)
+
+        for module in (em_module, net_module):
+            monkeypatch.setattr(module, "Batch", building)
+            monkeypatch.setattr(module, "project_all", projecting)
+        est = extract_fading_curve(result.model, rx, result.weights,
+                                   frame=frame)
+        proj = project(result.model, rx.iq())
+        assert built == [] and projected == []
+        # the decided projection is the symbol times the estimate
+        picked = proj[np.arange(len(rx)), est.decisions]
+        np.testing.assert_allclose(
+            est.estimates * const.points[est.decisions],
+            picked[:, 0] + 1j * picked[:, 1], rtol=0, atol=1e-15)
 
     def test_noiseless_estimates_recover_gain(self):
         const, frame, rx, result = self.fitted()
-        est = extract_fading_curve(result.model, rx, result.weights, const,
+        est = extract_fading_curve(result.model, rx, result.weights,
                                    frame=frame)
         np.testing.assert_allclose(est.estimates,
                                    np.full(len(rx), 0.6 + 0.2j),

@@ -30,7 +30,6 @@ from plasmalink.link import (
 from plasmalink.net import (
     init_model,
     loss_and_gradients,
-    project_all,
     weighted_loss,
 )
 
@@ -78,18 +77,14 @@ class TestKernel:
         w /= w.sum(axis=2, keepdims=True)
 
         loss, grads = loss_and_gradients(group, y, w)
-        proj = project_all(group, y)
         wloss = weighted_loss(group, y, w)
         assert loss.shape == wloss.shape == (c,)
         assert grads.shape == group.params.shape
-        assert proj.shape == (rows, c, k, 2)
         for i, model in enumerate(models):
             lone_loss, lone_grads = loss_and_gradients(model, y[:, i],
                                                        w[:, i])
             assert loss[i] == lone_loss
             np.testing.assert_array_equal(grads[i], lone_grads)
-            np.testing.assert_array_equal(proj[:, i],
-                                          project_all(model, y[:, i]))
             assert wloss[i] == weighted_loss(model, y[:, i], w[:, i])
 
     def test_group_batch_shape_checked(self):

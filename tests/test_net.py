@@ -25,6 +25,7 @@ from plasmalink.net import (
     _polar,
     adam_step,
     collect_params,
+    decode,
     decode_curve,
     distances,
     encode,
@@ -150,6 +151,9 @@ class TestForward:
             curve = decode_curve(model, lam[:, k])[k]
             np.testing.assert_allclose(proj[:, k], curve,
                                        rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                proj[:, k], decode(model, lam[:, k]) @ model.transforms[k].T,
+                rtol=0, atol=1e-15)
 
     def test_init_deterministic_per_seed(self):
         const = build_constellation(2)
