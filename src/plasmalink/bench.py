@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -36,7 +37,13 @@ from .baselines import (
     pilot_interp_ml,
     supervised_dnn,
 )
-from .em import EmSchedule, demodulate, extract_fading_curve, fit
+from .em import (
+    CURVE_GRID_POINTS,
+    EmSchedule,
+    demodulate,
+    extract_fading_curve,
+    fit,
+)
 from .exceptions import ConfigError, NonFiniteError
 from .link import (
     build_constellation,
@@ -248,11 +255,16 @@ def parse_value(name: str, text: str):
     return _typed(name, text, float if default is None else type(default))
 
 
+# a comment starts at a "#" that begins a line or follows whitespace, so a
+# value such as "out_dir = runs/a#b" keeps its "#"
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def config_from_text(text: str) -> ExperimentConfig:
     """Parse the key=value format; unknown keys are errors, not warnings."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -609,7 +621,7 @@ def _pilot_lam_span(model, rx, frame):
     return float(lam.min()), float(lam.max())
 
 
-def run_learning_snapshots(config: ExperimentConfig, grid_size: int = 201):
+def run_learning_snapshots(config: ExperimentConfig):
     """Six training states at the first (SNR, interval) of the config.
 
     Snapshot 0 is the raw received data (no curves); 1 and 2 are two
@@ -651,14 +663,12 @@ def run_learning_snapshots(config: ExperimentConfig, grid_size: int = 201):
     curve_rows = []
     for sid, (phase, step, model) in enumerate(captured, start=1):
         lo, hi = _pilot_lam_span(model, rx, frame)
-        grid = np.linspace(lo, hi, grid_size)
+        grid = np.linspace(lo, hi, CURVE_GRID_POINTS)
         curves = decode_curve(model, grid)
-        manifest.append([sid, phase, step, curves.shape[0] * grid_size])
-        for k in range(curves.shape[0]):
-            for gi in range(grid_size):
-                curve_rows.append([sid, k, _fmt(grid[gi]),
-                                   _fmt(curves[k, gi, 0]),
-                                   _fmt(curves[k, gi, 1])])
+        manifest.append([sid, phase, step, curves.shape[0] * len(grid)])
+        for k, curve in enumerate(curves):
+            for lam, (i, q) in zip(grid, curve):
+                curve_rows.append([sid, k, _fmt(lam), _fmt(i), _fmt(q)])
 
     _write_csv(out_dir / "snapshot_manifest.csv", "snapshot_manifest v1",
                ["snapshot", "phase", "step", "curve_points"], manifest)

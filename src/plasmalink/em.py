@@ -54,6 +54,7 @@ from .net import (  # noqa: F401
 
 __all__ = [
     "NOISE_VARIANCE_FLOOR",
+    "CURVE_GRID_POINTS",
     "EmSchedule",
     "TraceRecord",
     "FitResult",
@@ -74,6 +75,9 @@ logger = logging.getLogger(__name__)
 # lower clamp for sigma_n^2: a perfect fit would otherwise make the E-step
 # softmax and the ELBO degenerate
 NOISE_VARIANCE_FLOOR = 1e-6
+
+# points of the coordinate grid every learned-curve output is drawn on
+CURVE_GRID_POINTS = 201
 
 
 @dataclass(frozen=True)
@@ -444,30 +448,26 @@ def demodulate(w: np.ndarray) -> np.ndarray:
 
 
 def extract_fading_curve(model: SmnModel, received: ReceivedSequence,
-                         w: np.ndarray, frame: Frame | None = None,
-                         lam_grid: np.ndarray | None = None,
-                         grid_size: int = 201) -> FadingEstimate:
+                         w: np.ndarray, frame: Frame) -> FadingEstimate:
     """Learned fading curves plus the per-sample channel-gain estimate.
 
     Curve k is x_k times the canonical curve, which is the fading
     trajectory itself, so a sample's gain estimate is the canonical point
     (encode, then decode) at its coordinate on its decided symbol's curve.
-    The default coordinate grid spans the payload samples' observed encoder
-    outputs (pilots excluded so a short pilot set cannot shrink the span).
+    The curves are drawn on CURVE_GRID_POINTS coordinates spanning the
+    payload samples' encoder outputs (pilots excluded so a short pilot set
+    cannot shrink the span).
     """
+    payload = frame.payload_positions
+    if len(payload) == 0:
+        raise ValueError("no payload samples to span the curve coordinate")
     decisions = demodulate(w)
     rows = np.arange(len(decisions))
     lam = encode(model, received.iq())[rows, decisions]
     canonical = decode(model, lam)
     estimates = canonical[:, 0] + 1j * canonical[:, 1]
-
-    payload = rows if frame is None else frame.payload_positions
-    if len(payload) == 0:
-        raise ValueError("no payload samples to span the curve coordinate")
-    if lam_grid is None:
-        lam_grid = np.linspace(lam[payload].min(), lam[payload].max(),
-                               grid_size)
-    curves = decode_curve(model, lam_grid)
-    return FadingEstimate(lam_grid=np.asarray(lam_grid, dtype=float),
-                          curves=curves, decisions=decisions,
-                          estimates=estimates)
+    lam_grid = np.linspace(lam[payload].min(), lam[payload].max(),
+                           CURVE_GRID_POINTS)
+    return FadingEstimate(lam_grid=lam_grid,
+                          curves=decode_curve(model, lam_grid),
+                          decisions=decisions, estimates=estimates)

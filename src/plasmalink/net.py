@@ -163,16 +163,15 @@ def symbol_transforms(constellation: Constellation) -> np.ndarray:
 
 
 def init_model(constellation: Constellation, rng_seed: int,
-               hidden_units: int = 4, init_std: float = 0.1,
-               noise_variance: float = 1.0) -> SmnModel:
-    """Fresh model with all weights and biases drawn from N(0, init_std^2)."""
+               hidden_units: int = 4, init_std: float = 0.1) -> SmnModel:
+    """Fresh model: weights and biases from N(0, init_std^2), sigma^2 = 1."""
     rng = role_rng(rng_seed, "init")
     enc, dec = (2, hidden_units, 1), (1, hidden_units, 2)
     size = constellation.order * param_count(enc) + param_count(dec)
     return SmnModel(params=init_std * rng.standard_normal(size),
                     encoder_widths=enc, decoder_widths=dec,
                     transforms=symbol_transforms(constellation),
-                    noise_variance=float(noise_variance))
+                    noise_variance=1.0)
 
 
 def mlp_order(widths) -> np.ndarray:
@@ -653,13 +652,18 @@ def init_adam(params) -> AdamState:
     return AdamState(step=0, first_moment=zeros, second_moment=zeros.copy())
 
 
-def adam_step(params, grads, state: AdamState, learning_rate: float = 1e-3,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(params, grads, state: AdamState, learning_rate: float = 1e-3):
     """One Adam update of a parameter vector; returns (new_params, new_state)."""
     t = state.step + 1
-    m1 = beta1 * state.first_moment + (1.0 - beta1) * grads
-    v = beta2 * state.second_moment + (1.0 - beta2) * grads * grads
-    mhat = m1 / (1.0 - beta1 ** t)
-    vhat = v / (1.0 - beta2 ** t)
-    new_params = params - learning_rate * mhat / (np.sqrt(vhat) + eps)
+    m1 = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grads * grads
+    mhat = m1 / (1.0 - ADAM_BETA1 ** t)
+    vhat = v / (1.0 - ADAM_BETA2 ** t)
+    new_params = params - learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return new_params, AdamState(step=t, first_moment=m1, second_moment=v)

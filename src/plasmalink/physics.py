@@ -19,7 +19,8 @@ Two forms of the dielectric loss term are supported. The default
 switches to the textbook Drude ``nu / omega`` form. The attenuation /
 phase closed forms and the square-root route are kept consistent with
 whichever form is selected, so the cross-check between them is valid under
-both. All functions are pure and accept scalars or numpy arrays.
+both. All functions are pure and accept scalars or numpy arrays. They read
+the physical constants from the module constant CODATA and take no others.
 """
 
 from __future__ import annotations
@@ -49,18 +50,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """CODATA constants used by the propagation formulas. Not configurable."""
+    """CODATA constants, read by every propagation formula through the
+    module constant CODATA. Not configurable: no formula takes others."""
 
     electron_charge: float = 1.602176634e-19     # C (exact)
     vacuum_permittivity: float = 8.8541878128e-12  # F/m
     electron_mass: float = 9.1093837015e-31      # kg
     light_speed: float = 299792458.0             # m/s (exact)
-
-    def __post_init__(self):
-        for name in ("electron_charge", "vacuum_permittivity",
-                     "electron_mass", "light_speed"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
 
 
 CODATA = PhysicalConstants()
@@ -131,13 +127,13 @@ class DensityTrajectory:
             raise ConfigError("oscillation_freq and phase_offset must be finite")
 
 
-def plasma_frequency(n_e, constants: PhysicalConstants = CODATA):
+def plasma_frequency(n_e):
     """Electron plasma frequency sqrt(n_e e^2 / (eps0 m_e)) in rad/s."""
     n_e = np.asarray(n_e, dtype=float)
     if np.any(n_e < 0):
         raise ValueError("electron density must be >= 0")
-    out = np.sqrt(n_e * constants.electron_charge**2
-                  / (constants.vacuum_permittivity * constants.electron_mass))
+    out = np.sqrt(n_e * CODATA.electron_charge**2
+                  / (CODATA.vacuum_permittivity * CODATA.electron_mass))
     return out if out.ndim else float(out)
 
 
@@ -148,22 +144,20 @@ def _loss_factor(params: ChannelParams) -> float:
     return (nu / omega) if params.standard_drude_loss else (nu**2 / omega)
 
 
-def dielectric_coefficient(n_e, params: ChannelParams,
-                           constants: PhysicalConstants = CODATA):
+def dielectric_coefficient(n_e, params: ChannelParams):
     """Complex relative dielectric coefficient of the collisional plasma.
 
     Real part ``1 - wp^2/(w^2 + nu^2)``; imaginary part is the negative
     loss term (zero loss only at zero density or zero collision rate).
     """
     n_e = np.asarray(n_e, dtype=float)
-    wp2 = plasma_frequency(n_e, constants) ** 2
+    wp2 = plasma_frequency(n_e) ** 2
     x = wp2 / (params.carrier_angular_freq**2 + params.collision_angular_freq**2)
     out = np.asarray((1.0 - x) - 1j * _loss_factor(params) * x, dtype=complex)
     return out if n_e.ndim else complex(out)
 
 
-def attenuation_phase_coefficients(n_e, params: ChannelParams,
-                                   constants: PhysicalConstants = CODATA):
+def attenuation_phase_coefficients(n_e, params: ChannelParams):
     """Attenuation alpha (Np/m) and phase-shift beta (rad/m) closed forms.
 
     Derived from ``k = (w/c) sqrt(eps_r) = beta - j alpha`` with the branch
@@ -176,13 +170,13 @@ def attenuation_phase_coefficients(n_e, params: ChannelParams,
     imaginary part of the dielectric coefficient.
     """
     n_e = np.asarray(n_e, dtype=float)
-    wp2 = plasma_frequency(n_e, constants) ** 2
+    wp2 = plasma_frequency(n_e) ** 2
     omega = params.carrier_angular_freq
     x = wp2 / (omega**2 + params.collision_angular_freq**2)
     re = 1.0 - x
     im = _loss_factor(params) * x
     mag = np.hypot(re, im)
-    scale = omega / (math.sqrt(2.0) * constants.light_speed)
+    scale = omega / (math.sqrt(2.0) * CODATA.light_speed)
     # Clip: mag - re and mag + re are >= 0 analytically; rounding can dip below.
     alpha = scale * np.sqrt(np.maximum(mag - re, 0.0))
     beta = scale * np.sqrt(np.maximum(mag + re, 0.0))
@@ -191,8 +185,7 @@ def attenuation_phase_coefficients(n_e, params: ChannelParams,
     return float(alpha), float(beta)
 
 
-def propagation_vector(n_e, params: ChannelParams,
-                       constants: PhysicalConstants = CODATA):
+def propagation_vector(n_e, params: ChannelParams):
     """Complex propagation vector ``k = (w/c) sqrt(eps_r)``, square-root route.
 
     Uses the principal complex square root, flipped where necessary so that
@@ -200,19 +193,18 @@ def propagation_vector(n_e, params: ChannelParams,
     the ``exp(-j k z)`` convention). Cross-checks the closed forms above.
     """
     scalar = np.asarray(n_e).ndim == 0
-    eps = np.asarray(dielectric_coefficient(n_e, params, constants),
+    eps = np.asarray(dielectric_coefficient(n_e, params),
                      dtype=complex)
     root = np.sqrt(eps)
     root = np.where(root.imag > 0, -root, root)
-    out = params.carrier_angular_freq / constants.light_speed * root
+    out = params.carrier_angular_freq / CODATA.light_speed * root
     return complex(out) if scalar else out
 
 
-def channel_gain(n_e, params: ChannelParams,
-                 constants: PhysicalConstants = CODATA):
+def channel_gain(n_e, params: ChannelParams):
     """Complex baseband channel gain ``exp(-alpha z) exp(-j beta z)``."""
     scalar = np.asarray(n_e).ndim == 0
-    alpha, beta = attenuation_phase_coefficients(n_e, params, constants)
+    alpha, beta = attenuation_phase_coefficients(n_e, params)
     z = params.sheath_thickness
     out = np.exp(-np.asarray(alpha) * z) * np.exp(-1j * np.asarray(beta) * z)
     return complex(out) if scalar else out
@@ -256,31 +248,21 @@ def _check_gain_floor(gain_floor: float) -> None:
         raise ConfigError(f"gain_floor must lie in (0, 1), got {gain_floor:g}")
 
 
-def calibrate_sheath_thickness(params: ChannelParams, gain_floor: float = 0.05,
-                               constants: PhysicalConstants = CODATA) -> ChannelParams:
-    """Bisect the slab thickness so min |gain| over the density range = gain_floor.
+def calibrate_sheath_thickness(params: ChannelParams,
+                               gain_floor: float = 0.05) -> ChannelParams:
+    """Slab thickness at which min |gain| over the density range = gain_floor.
 
     |gain| is monotone nonincreasing in density at the reference operating
-    point, so the minimum sits at n_max and ``exp(-alpha(n_max) z)`` is
-    strictly decreasing in z. Returns a copy of ``params`` with the
-    calibrated thickness.
+    point, so the minimum sits at n_max, and ``exp(-alpha(n_max) z) =
+    gain_floor`` has the closed-form root ``z = -ln(gain_floor) /
+    alpha(n_max)``. Returns a copy of ``params`` with that thickness.
     """
     _check_gain_floor(gain_floor)
     alpha_max, _ = attenuation_phase_coefficients(params.density_range[1],
-                                                  params, constants)
+                                                  params)
     if not 0 < alpha_max < math.inf:
         raise ConfigError(f"cannot calibrate z: alpha(n_max) = {alpha_max:g}")
-    target = -math.log(gain_floor)
-    lo, hi = 0.0, 1.0
-    while alpha_max * hi < target:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if alpha_max * mid < target:
-            lo = mid
-        else:
-            hi = mid
-    return replace(params, sheath_thickness=0.5 * (lo + hi))
+    return replace(params, sheath_thickness=-math.log(gain_floor) / alpha_max)
 
 
 def reference_channel_params(carrier_freq: float = 9e9,

@@ -142,6 +142,17 @@ class TestConfigFormat:
         config = config_from_text("# a comment\n\nseed = 4  # trailing\n")
         assert config.seed == 4
 
+    def test_hash_inside_value_is_kept(self):
+        # only a "#" at the start of a line or after whitespace opens a
+        # comment
+        config = config_from_text("out_dir = runs/a#b\n"
+                                  "  # indented comment\n"
+                                  "seed = 4\t# after a tab\n")
+        assert config.out_dir == "runs/a#b"
+        assert config.seed == 4
+        with pytest.raises(ConfigError, match="snr_db"):
+            config_from_text("snr_db = 10#5\n")
+
     def test_validation(self):
         with pytest.raises(ConfigError, match="profile"):
             ExperimentConfig(profile="square")
@@ -440,6 +451,15 @@ class TestCli:
         assert archived.frame_length == 512
         assert archived.snr_reference == "received"
 
+    def test_config_out_dir_with_hash(self, tmp_path, capsys):
+        out = tmp_path / "a#b"
+        config = quick_config(receivers=("genie_ml",), out_dir=str(out))
+        (tmp_path / "run.txt").write_text(config_to_text(config))
+        code = main(["ser-sweep", "--config", str(tmp_path / "run.txt")])
+        assert code == 0
+        assert (out / "ser_sweep.csv").exists()
+        assert not (tmp_path / "a").exists()
+
     def test_unknown_subcommand_exit_two(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
@@ -571,6 +591,7 @@ class TestCli:
         ("ser-sweep", "n_e_max = 1.7e308\n", []),
         ("fading", "", ["--intervals", "1"]),
         ("ser-sweep", "pilot_intervals = 1\n", []),
+        ("ser-sweep", "snr_db = 10#5\n", []),
     ], ids=["no-receivers", "no-intervals", "nan-snr", "snapshots-no-snr",
             "fading-no-snr", "duplicate-snr", "zero-interval",
             "interval-over-frame", "huge-snr", "colliding-snr",
@@ -583,7 +604,8 @@ class TestCli:
             "negative-seed-flag", "zero-symbol-rate", "zero-oscillation",
             "nan-oscillation", "constant-level-outside", "huge-carrier",
             "huge-collision", "tiny-carrier", "huge-density",
-            "fading-interval-one", "sweep-interval-one"])
+            "fading-interval-one", "sweep-interval-one",
+            "hash-inside-value"])
     def test_bad_config_exit_two(self, tmp_path, capsys, command,
                                  config_text, flags):
         # a short base run, so a check that lets the input through fails

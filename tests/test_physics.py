@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plasmalink import physics
 from plasmalink.exceptions import ConfigError
 from plasmalink.physics import (
     CODATA,
@@ -232,6 +231,18 @@ class TestCalibration:
         g = channel_gain(params.density_range[1], params)
         assert abs(g) == pytest.approx(0.1, rel=1e-9)
 
+    @pytest.mark.parametrize("drude", [False, True])
+    @pytest.mark.parametrize("floor", [0.01, 0.05, 0.1, 0.5, 0.99])
+    def test_closed_form_root(self, drude, floor):
+        # exp(-alpha(n_max) z) = floor is solved exactly, not approximately
+        params = reference_channel_params(standard_drude_loss=drude,
+                                          gain_floor=floor)
+        n_max = params.density_range[1]
+        alpha, _ = attenuation_phase_coefficients(n_max, params)
+        assert params.sheath_thickness == -math.log(floor) / alpha
+        assert abs(channel_gain(n_max, params)) == pytest.approx(
+            floor, rel=0, abs=1e-14)
+
     def test_explicit_thickness_respected(self):
         params = reference_channel_params(sheath_thickness=1e-9)
         assert params.sheath_thickness == 1e-9
@@ -272,7 +283,3 @@ class TestValidation:
         with pytest.raises(ConfigError):
             DensityTrajectory(**{field: value})
 
-
-def test_constants_positive():
-    with pytest.raises(ValueError):
-        physics.PhysicalConstants(electron_charge=-1.0)
