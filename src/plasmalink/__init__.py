@@ -30,6 +30,7 @@ from .bench import (
     run_learning_snapshots,
     run_ser_sweep,
     save_config,
+    save_sequence_csv,
 )
 from .em import (
     EmSchedule,
@@ -51,7 +52,6 @@ from .link import (
     ReceivedSequence,
     build_constellation,
     build_frame,
-    save_sequence_csv,
     snr_to_noise_variance,
     transmit,
 )

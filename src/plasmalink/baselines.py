@@ -115,30 +115,30 @@ def supervised_dnn(received, frame, constellation: Constellation, rng_seed,
     tanh hidden layers, cross-entropy loss, full-batch Adam over the pilot
     (sample, label) pairs only; the payload is never seen in training.
 
-    Takes one cell (a ReceivedSequence, its Frame and an int seed) and
-    returns a BaselineResult, or a group of cells with the same pilot count
-    (sequences of all three) and returns a tuple of them. A group's C
-    networks train in lockstep as one stack, each with the numbers it
-    would have alone.
+    Takes a group of cells with the same pilot count (sequences of
+    received sequences, frames and seeds) and returns a tuple of
+    BaselineResults; one cell (a ReceivedSequence, its Frame and an int
+    seed) is trained as a group of one and gets its BaselineResult. A
+    group's C networks train in lockstep as one stack, each with the
+    numbers it would have alone.
     """
-    single = isinstance(received, ReceivedSequence)
-    cells = [received] if single else list(received)
-    frames = [frame] if single else list(frame)
-    seeds = [rng_seed] if single else list(rng_seed)
+    if isinstance(received, ReceivedSequence):
+        return supervised_dnn((received,), (frame,), constellation,
+                              (rng_seed,), config)[0]
     k = constellation.order
     widths = (2, config.hidden_units, config.hidden_units, k)
     # the flat draws gathered into augmented order once: Adam is
     # elementwise, so training in that order is training in the flat one
     params = config.init_std * np.stack(
         [role_rng(seed, "dnn").standard_normal(param_count(widths))
-         for seed in seeds]).take(mlp_order(widths), axis=1)
+         for seed in rng_seed]).take(mlp_order(widths), axis=1)
 
     # feature-major: one column per sample, one stack entry per cell
     x_train = mlp_input(np.stack([rx.iq()[f.pilot_positions].T
-                                  for rx, f in zip(cells, frames)]))
+                                  for rx, f in zip(received, frame)]))
     n = x_train.shape[-1]
-    onehot = np.zeros((len(cells), k, n))
-    for hot, f in zip(onehot, frames):
+    onehot = np.zeros((len(received), k, n))
+    for hot, f in zip(onehot, frame):
         hot[f.symbols[f.pilot_positions], np.arange(n)] = 1.0
 
     state = init_adam(params)
@@ -159,12 +159,12 @@ def supervised_dnn(received, frame, constellation: Constellation, rng_seed,
 
     # the frame's logits a cell at a time, which bounds the peak memory
     results = []
-    for c, rx in enumerate(cells):
+    for c, rx in enumerate(received):
         logits, _ = mlp_forward(mlp_layers(widths, params[c:c + 1]),
                                 mlp_input(rx.iq().T))
         results.append(BaselineResult(name="supervised_dnn",
                                       decisions=np.argmax(logits[0], axis=0)))
-    return results[0] if single else tuple(results)
+    return tuple(results)
 
 
 def qpsk_theory_ser(es_n0_db: float) -> float:

@@ -46,9 +46,10 @@ from .em import (
 )
 from .exceptions import ConfigError, NonFiniteError
 from .link import (
+    Frame,
+    ReceivedSequence,
     build_constellation,
     build_frame,
-    save_sequence_csv,
     snr_to_noise_variance,
     transmit,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "run_ser_sweep",
     "run_learning_snapshots",
     "run_fading_estimation",
+    "save_sequence_csv",
 ]
 
 RECEIVER_NAMES = ("smn", "genie_ml", "pilot_interp_ml", "supervised_dnn")
@@ -299,7 +301,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(path, config: ExperimentConfig) -> None:
-    Path(path).write_text(config_to_text(config))
+    _write(path, lambda fh: fh.write(config_to_text(config)))
 
 
 def _archive_config(out_dir: Path, config: ExperimentConfig) -> None:
@@ -475,12 +477,23 @@ def compute_ser(decisions: np.ndarray, truth: np.ndarray,
 # CSV helpers
 
 
+def _write(path, write) -> None:
+    """Open path for writing as text and hand it to write; an OSError (a
+    directory in the way, a full disk) is a ConfigError naming the path."""
+    try:
+        with Path(path).open("w", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _write_csv(path, schema: str, header, rows) -> None:
-    with Path(path).open("w", newline="") as fh:
+    def write(fh):
         fh.write(f"# schema: {schema}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    _write(path, write)
 
 
 def _fmt(x) -> str:
@@ -494,6 +507,22 @@ def save_trace_csv(path, trace) -> None:
     _write_csv(path, "elbo_trace v1",
                ["phase", "iteration", "elbo_before_e", "elbo_after_e",
                 "loss_before_m", "loss_after_m", "noise_variance"], rows)
+
+
+def save_sequence_csv(path, frame: Frame, received: ReceivedSequence) -> None:
+    """Dump a frame/received pair in the documented debug layout.
+
+    Columns: index, pilot_flag, true_symbol, I, Q, gain_I, gain_Q.
+    """
+    pilot = np.zeros(len(frame), dtype=int)
+    pilot[frame.pilot_positions] = 1
+    rows = ([i, pilot[i], frame.symbols[i], _fmt(y.real), _fmt(y.imag),
+             _fmt(g.real), _fmt(g.imag)]
+            for i, (y, g) in enumerate(zip(received.samples,
+                                           received.true_gains)))
+    _write_csv(path, "received_sequence v1",
+               ["index", "pilot_flag", "true_symbol", "I", "Q", "gain_I",
+                "gain_Q"], rows)
 
 
 def save_weights_csv(path, weights: np.ndarray) -> None:
@@ -644,24 +673,27 @@ def run_learning_snapshots(config: ExperimentConfig):
                         max(1, schedule.pretrain_steps)})
     em_iters = sorted({1, max(2, schedule.em_iterations // 2)}
                       & set(range(1, schedule.em_iterations + 1)) or {1})
+    # the hooks see the group of one that fit trains; a snapshot keeps its
+    # cell's parameter row
     captured = []
 
     def pretrain_hook(step, model):
         if step in pre_steps:
-            captured.append(("pretrain", step, model))
+            captured.append(("pretrain", step, model.params[0]))
 
     def em_hook(iteration, model, weights):
         if iteration in em_iters and iteration != schedule.em_iterations:
-            captured.append(("em", iteration, model))
+            captured.append(("em", iteration, model.params[0]))
 
     result = fit(rx, frame, const, schedule, rng_seed=seed,
                  hidden_units=config.hidden_units, init_std=config.init_std,
                  pretrain_hook=pretrain_hook, em_hook=em_hook)
-    captured.append(("final", schedule.em_iterations, result.model))
+    captured.append(("final", schedule.em_iterations, result.model.params))
 
     manifest = [[0, "raw", 0, 0]]
     curve_rows = []
-    for sid, (phase, step, model) in enumerate(captured, start=1):
+    for sid, (phase, step, params) in enumerate(captured, start=1):
+        model = replace(result.model, params=params)
         lo, hi = _pilot_lam_span(model, rx, frame)
         grid = np.linspace(lo, hi, CURVE_GRID_POINTS)
         curves = decode_curve(model, grid)

@@ -9,7 +9,8 @@ Subcommands:
   selftest          fast end-to-end invariant battery
 
 Exit status: 0 on success, 1 on a failed check, 2 on usage or config
-errors.
+errors, on an artifact that cannot be written and on a snapshot or fading
+fit that overflows.
 """
 
 from __future__ import annotations
@@ -284,6 +285,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        # a fit that overflows: ser-sweep records it in a cell's status,
+        # snapshots and fading have no status to record it in
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

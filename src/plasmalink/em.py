@@ -170,14 +170,6 @@ def pilot_weights(frame: Frame, order: int) -> np.ndarray:
 # it runs for a lone cell, and a cell's numbers do not depend on its group.
 
 
-def _cells(received, frame):
-    """Lists of the received sequences and frames of one cell or of a
-    group, and whether it was one cell."""
-    if isinstance(received, ReceivedSequence):
-        return [received], [frame], True
-    return list(received), list(frame), False
-
-
 def _shared_pilots(frames):
     """Pilot positions and labels, which the cells of a group share."""
     positions = frames[0].pilot_positions
@@ -205,12 +197,10 @@ def _pilot_batch(model: SmnModel, y: np.ndarray, frames) -> Batch:
 
 
 def _group_model(model: SmnModel) -> SmnModel:
-    """A private group form of a model: (C, P) parameters, C noise
-    variances; one cell's model becomes a group of one."""
-    params = model.params
-    return replace(model, params=params.reshape(-1, params.shape[-1]).copy(),
-                   noise_variance=np.reshape(model.noise_variance,
-                                             -1).astype(float))
+    """One cell's model as a group of one: a (1, P) view of its
+    parameters and one noise variance."""
+    return replace(model, params=model.params[None],
+                   noise_variance=np.array([float(model.noise_variance)]))
 
 
 def _cell_model(model: SmnModel, cell: int) -> SmnModel:
@@ -236,33 +226,27 @@ def _train(model: SmnModel, batch: Batch, steps: int, learning_rate: float,
     return model
 
 
-def pretrain(model: SmnModel, received, frame, schedule: EmSchedule,
+def pretrain(model: SmnModel, received, frames, schedule: EmSchedule,
              step_hook=None, pilots: Batch | None = None) -> SmnModel:
-    """Fit the curves to the pilot samples alone, labels known.
+    """Fit the curves of a group to its pilot samples alone, labels known.
 
-    Takes one cell (a model, a ReceivedSequence and its Frame) or a group
-    (a group model and sequences of received sequences and frames), and
-    returns the trained model in the same form; pilots, when given, is
-    the Batch of the pilot rows (see fit). Every constellation symbol needs
-    at least one pilot, otherwise its curve (and encoder) is
-    unidentifiable.
+    Takes a group model ((C, P) parameters) and the sequences of the
+    cells' received sequences and frames, and returns the trained group
+    model; step_hook, when given, gets each step's number and group model.
+    pilots, when given, is the Batch of the pilot rows (see fit). Every
+    constellation symbol needs at least one pilot, otherwise its curve
+    (and encoder) is unidentifiable.
     """
-    received, frames, single = _cells(received, frame)
     _, labels = _shared_pilots(frames)
     missing = sorted(set(range(model.order)) - set(labels.tolist()))
     if missing:
         raise ConfigError(f"symbols {missing} have no pilots; "
                           "their curves are unidentifiable")
-    group = _group_model(model)
+    model = replace(model, params=model.params.copy())
     if pilots is None:
-        pilots = _pilot_batch(group, _iq(received), frames)
-    hook = step_hook
-    if single and step_hook is not None:
-        def hook(step, m):
-            step_hook(step, _cell_model(m, 0))
-    group = _train(group, pilots, schedule.pretrain_steps,
-                   schedule.learning_rate, hook)
-    return _cell_model(group, 0) if single else group
+        pilots = _pilot_batch(model, _iq(received), frames)
+    return _train(model, pilots, schedule.pretrain_steps,
+                  schedule.learning_rate, step_hook)
 
 
 def _clamped(variances, message: str):
@@ -366,80 +350,82 @@ def fit(received, frame, constellation: Constellation,
         em_hook=None):
     """Full training run: pilot pretraining, then EM over the whole frame.
 
-    Takes one cell (a ReceivedSequence, its Frame and an int seed) and
-    returns a FitResult, or a group of cells that share frame length and
-    pilots (sequences of received sequences, frames and seeds) and returns
-    a GroupFit. A group trains in lockstep: its C x K encoders run as one
-    stack and its C decoders as another, and each cell's numbers are those
-    of fitting it alone. The models the hooks see are in the same form
-    (for a group, (C, P) parameters); em_hook also gets the posterior,
-    (m, K) or for a group cell-major (C, m, K).
+    Takes a group of cells that share frame length and pilots (sequences
+    of received sequences, frames and seeds) and returns a GroupFit; one
+    cell (a ReceivedSequence, its Frame and an int seed) is fitted as a
+    group of one and gets its FitResult. A group trains in lockstep: its
+    C x K encoders run as one stack and its C decoders as another, and
+    each cell's numbers are those of fitting it alone. The hooks see the
+    group model, (C, P) parameters; em_hook also gets the posterior,
+    cell-major (C, m, K).
 
     The initial noise variance is the pilot residual after pretraining (the
     only data-driven estimate available before the first E-step). Two
     Batches serve the fit: the pilot rows (pretraining and that residual)
     and the frame rows, whose weights each E-step replaces; every
     posterior, bound and loss of a curve state reads one distances call.
-    Raises RuntimeError if the lower bound of any cell ever drops across an
-    E-step beyond a 1e-9 tolerance; that invariant holds analytically, so a
-    violation is a bug, not a tuning issue.
+    The fit runs with NumPy overflow and invalid values raised as
+    FloatingPointError. Raises RuntimeError if the lower bound of any cell
+    ever drops across an E-step beyond a 1e-9 tolerance; that invariant
+    holds analytically, so a violation is a bug, not a tuning issue.
     """
-    cells, frames, single = _cells(received, frame)
-    pilots = _shared_pilots(frames)
-    models = [init_model(constellation, seed, hidden_units, init_std)
-              for seed in ([rng_seed] if single else rng_seed)]
-    model = replace(models[0], params=np.stack([m.params for m in models]),
-                    noise_variance=np.ones(len(models)))
-    y = _iq(cells)
-    pilot_batch = _pilot_batch(model, y, frames)
-    model = _group_model(pretrain(models[0] if single else model, received,
-                                  frame, schedule, step_hook=pretrain_hook,
-                                  pilots=pilot_batch))
-    pilot_resid = weighted_loss(model, pilot_batch)
-    model = replace(model, noise_variance=np.maximum(pilot_resid,
-                                                     NOISE_VARIANCE_FLOOR))
+    if isinstance(received, ReceivedSequence):
+        return fit((received,), (frame,), constellation, schedule,
+                   (rng_seed,), hidden_units, init_std, pretrain_hook,
+                   em_hook)[0]
+    with np.errstate(over="raise", invalid="raise"):
+        pilots = _shared_pilots(frame)
+        models = [init_model(constellation, seed, hidden_units, init_std)
+                  for seed in rng_seed]
+        model = replace(models[0],
+                        params=np.stack([m.params for m in models]),
+                        noise_variance=np.ones(len(models)))
+        y = _iq(received)
+        pilot_batch = _pilot_batch(model, y, frame)
+        model = pretrain(model, received, frame, schedule,
+                         step_hook=pretrain_hook, pilots=pilot_batch)
+        pilot_resid = weighted_loss(model, pilot_batch)
+        model = replace(model, noise_variance=np.maximum(
+            pilot_resid, NOISE_VARIANCE_FLOOR))
 
-    traces = [[] for _ in cells]
+        traces = [[] for _ in received]
 
-    def record(phase, iteration, *values):
-        """Append each cell's TraceRecord; values are per-cell arrays."""
-        for c, trace in enumerate(traces):
-            trace.append(TraceRecord(phase, iteration,
-                                     *(float(v[c]) for v in values)))
+        def record(phase, iteration, *values):
+            """Append each cell's TraceRecord; values are per-cell arrays."""
+            for c, trace in enumerate(traces):
+                trace.append(TraceRecord(phase, iteration,
+                                         *(float(v[c]) for v in values)))
 
-    batch = Batch(model, y)
-    d2 = distances(model, batch)
-    w = _posterior(model, d2, pilots)
-    start = _bound(model, d2, w)
-    record("pretrain", 0, start, start, pilot_resid, pilot_resid,
-           model.noise_variance)
-    for it in range(1, schedule.em_iterations + 1):
-        before = _bound(model, d2, w)
+        batch = Batch(model, y)
+        d2 = distances(model, batch)
         w = _posterior(model, d2, pilots)
-        after = _bound(model, d2, w)
-        dropped = np.flatnonzero(after < before - 1e-9)
-        if len(dropped):
-            c = dropped[0]
-            raise RuntimeError(
-                f"lower bound decreased across E-step {it}: "
-                f"{before[c]:.12g} -> {after[c]:.12g}"
-                + ("" if single else f" (cell {c} of the group)"))
-        batch.reweigh(w)
-        loss_before = batch.loss(d2)
-        # spent: freed before the M-step makes the next
-        del d2
-        model, loss_after, d2 = _m_step(model, batch, schedule)
-        record("em", it, before, after, loss_before, loss_after,
+        start = _bound(model, d2, w)
+        record("pretrain", 0, start, start, pilot_resid, pilot_resid,
                model.noise_variance)
-        if em_hook is not None and single:
-            em_hook(it, _cell_model(model, 0), w[0].T)
-        elif em_hook is not None:
-            em_hook(it, model, w.transpose(0, 2, 1))
+        for it in range(1, schedule.em_iterations + 1):
+            before = _bound(model, d2, w)
+            w = _posterior(model, d2, pilots)
+            after = _bound(model, d2, w)
+            dropped = np.flatnonzero(after < before - 1e-9)
+            if len(dropped):
+                c = dropped[0]
+                raise RuntimeError(
+                    f"lower bound decreased across E-step {it}: "
+                    f"{before[c]:.12g} -> {after[c]:.12g} "
+                    f"(cell {c} of the group)")
+            batch.reweigh(w)
+            loss_before = batch.loss(d2)
+            # spent: freed before the M-step makes the next
+            del d2
+            model, loss_after, d2 = _m_step(model, batch, schedule)
+            record("em", it, before, after, loss_before, loss_after,
+                   model.noise_variance)
+            if em_hook is not None:
+                em_hook(it, model, w.transpose(0, 2, 1))
 
-    fits = GroupFit(FitResult(model=_cell_model(model, c),
+    return GroupFit(FitResult(model=_cell_model(model, c),
                               weights=w[c].T.copy(), trace=tuple(trace))
                     for c, trace in enumerate(traces))
-    return fits[0] if single else fits
 
 
 def demodulate(w: np.ndarray) -> np.ndarray:

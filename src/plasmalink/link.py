@@ -12,9 +12,7 @@ independent Gaussians of variance sigma_n^2 / 2 per quadrature.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -29,10 +27,7 @@ __all__ = [
     "build_frame",
     "snr_to_noise_variance",
     "transmit",
-    "save_sequence_csv",
 ]
-
-SEQUENCE_CSV_SCHEMA = "received_sequence v1"
 
 # phase of the index-0 point, per constellation order
 _PSK_OFFSETS = {2: 0.0, 4: np.pi / 4, 8: 0.0, 16: 0.0}
@@ -152,25 +147,3 @@ def transmit(frame: Frame, constellation: Constellation, gains: np.ndarray,
                      + 1j * rng.standard_normal(len(frame)))
     return ReceivedSequence(samples=gains * tx + noise, true_gains=gains,
                             noise_variance=float(noise_variance))
-
-
-def save_sequence_csv(path, frame: Frame, received: ReceivedSequence) -> None:
-    """Dump a frame/received pair in the documented debug layout.
-
-    Columns: index, pilot_flag, true_symbol, I, Q, gain_I, gain_Q.
-    """
-    pilot = np.zeros(len(frame), dtype=int)
-    pilot[frame.pilot_positions] = 1
-    with Path(path).open("w", newline="") as fh:
-        fh.write(f"# schema: {SEQUENCE_CSV_SCHEMA}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["index", "pilot_flag", "true_symbol",
-                         "I", "Q", "gain_I", "gain_Q"])
-        for i in range(len(frame)):
-            writer.writerow([
-                i, pilot[i], frame.symbols[i],
-                f"{received.samples[i].real:.17g}",
-                f"{received.samples[i].imag:.17g}",
-                f"{received.true_gains[i].real:.17g}",
-                f"{received.true_gains[i].imag:.17g}",
-            ])

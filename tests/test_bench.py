@@ -52,6 +52,13 @@ def quick_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def overflow_config(**overrides):
+    """A short schedule whose learning rate overflows the SMN's fit."""
+    return quick_config(frame_length=256, snr_db=(10.0,), pretrain_steps=50,
+                        em_iterations=2, mstep_steps=10,
+                        learning_rate=1e300, **overrides)
+
+
 def valid_configs():
     """Configs that pass validation, over every field."""
     reals = st.floats(allow_nan=False, allow_infinity=False)
@@ -312,6 +319,17 @@ class TestSerSweep:
         assert "ConfigError" in by_name["pilot_interp_ml"]["status"]
         assert np.isnan(by_name["pilot_interp_ml"]["ser"])
 
+    def test_overflowing_fit_fails_its_cell(self, tmp_path):
+        # a learning rate of 1e300 throws the SMN's weights out of float
+        # range: its cell fails rather than reporting chance-level decisions
+        records = run_ser_sweep(overflow_config(
+            out_dir=str(tmp_path), receivers=("smn", "genie_ml")))
+        by_name = {r["receiver"]: r for r in records}
+        assert by_name["smn"]["status"].startswith(
+            "trial 0: failed: FloatingPointError: overflow"), by_name["smn"]
+        assert np.isnan(by_name["smn"]["ser"])
+        assert by_name["genie_ml"]["status"] == "ok"
+
     def test_invariant_violation_aborts_sweep(self, tmp_path, monkeypatch):
         def broken_fit(*args, **kwargs):
             raise RuntimeError("lower bound decreased across E-step 1")
@@ -491,7 +509,7 @@ class TestCli:
 
     @pytest.mark.parametrize("case", [
         "config-is-directory", "config-not-utf8", "outdir-is-file",
-        "outdir-under-file"])
+        "outdir-under-file", "archive-is-directory", "csv-is-directory"])
     def test_unusable_path_exit_two(self, tmp_path, capsys, case):
         config = tmp_path / "run.txt"
         config.write_text("frame_length = 512\ntrials = 1\n"
@@ -505,15 +523,32 @@ class TestCli:
             config.write_bytes(b"frame_length = 512\n# \xff\xfe\n")
         elif case == "outdir-is-file":
             out = afile
-        else:
+        elif case == "outdir-under-file":
             out = afile / "out"
         named = out if case.startswith("outdir") else config
+        artifact = {"archive-is-directory": "config.txt",
+                    "csv-is-directory": "ser_sweep.csv"}.get(case)
+        if artifact:
+            # a directory in the way of an artifact: the archived config
+            # is written before the sweep runs, its table after it
+            named = out / artifact
+            named.mkdir(parents=True)
         code = main(["ser-sweep", "--config", str(config),
                      "--outdir", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(named) in err
+
+    @pytest.mark.parametrize("command", ["snapshots", "fading"])
+    def test_overflowing_fit_exit_two(self, tmp_path, capsys, command):
+        (tmp_path / "run.txt").write_text(config_to_text(overflow_config()))
+        code = main([command, "--config", str(tmp_path / "run.txt"),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: FloatingPointError: overflow")
+        assert err.count("\n") == 1, err
 
     def test_bad_override_exit_two(self, capsys):
         code = main(["ser-sweep", "--snr", "ten"])

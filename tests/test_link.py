@@ -10,11 +10,11 @@ import csv
 import numpy as np
 import pytest
 
+from plasmalink.bench import save_sequence_csv
 from plasmalink.exceptions import ConfigError
 from plasmalink.link import (
     build_constellation,
     build_frame,
-    save_sequence_csv,
     snr_to_noise_variance,
     transmit,
 )
