@@ -127,11 +127,10 @@ def supervised_dnn(received, frame, constellation: Constellation, rng_seed,
                               (rng_seed,), config)[0]
     k = constellation.order
     widths = (2, config.hidden_units, config.hidden_units, k)
-    # the flat draws gathered into augmented order once: Adam is
-    # elementwise, so training in that order is training in the flat one
-    params = config.init_std * np.stack(
+    # drawn in flat order and laid out in the kernel's, as init_model does
+    params = mlp_order(widths, config.init_std * np.stack(
         [role_rng(seed, "dnn").standard_normal(param_count(widths))
-         for seed in rng_seed]).take(mlp_order(widths), axis=1)
+         for seed in rng_seed]))
 
     # feature-major: one column per sample, one stack entry per cell
     x_train = mlp_input(np.stack([rx.iq()[f.pilot_positions].T

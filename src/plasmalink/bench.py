@@ -304,10 +304,21 @@ def save_config(path, config: ExperimentConfig) -> None:
     _write(path, lambda fh: fh.write(config_to_text(config)))
 
 
-def _archive_config(out_dir: Path, config: ExperimentConfig) -> None:
-    """Archived copy is location-independent: the output path is not part
-    of the experiment, so it is blanked before writing."""
+def _archive_config(out_dir: Path, config: ExperimentConfig,
+                    artifacts) -> None:
+    """Write the archived config, then open every artifact the study will
+    write (names in out_dir) in append mode, which truncates no earlier
+    file: one that cannot be written stops the study before any cell is
+    simulated. A file the opening created is removed again, so a study
+    that fails later leaves no empty artifact. The archived copy is
+    location-independent: the output path is not part of the experiment,
+    so it is blanked before writing."""
     save_config(out_dir / "config.txt", replace(config, out_dir=""))
+    for path in (out_dir / name for name in artifacts):
+        created = not path.exists()
+        _write(path, lambda fh: None, mode="a")
+        if created:
+            path.unlink()
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +422,10 @@ def simulate_cell(config: ExperimentConfig, gains: np.ndarray, es: float,
 # shapes, so up to this many train as one stack (em.fit, supervised_dnn).
 # Picked by timing sweep-mix and a default-grid sweep at 2, 4 and 8 (see
 # README). Frame-sized SMN passes still run a cell at a time
-# (net.PASS_COLUMNS); what grows with the group is its E-step arrays,
-# about 0.7 MiB per cell at 4096 frame rows.
+# (net.PASS_COLUMNS); what grows with the group is its frame Batch and its
+# E-step arrays. The traced peak of a warm QPSK fit of 4096 frame rows
+# read 3.42 / 4.38 / 6.28 / 10.09 MiB for groups of 1 / 2 / 4 / 8 cells,
+# about 0.95 MiB more per cell.
 GROUP_CELLS = 4
 
 
@@ -477,11 +490,12 @@ def compute_ser(decisions: np.ndarray, truth: np.ndarray,
 # CSV helpers
 
 
-def _write(path, write) -> None:
-    """Open path for writing as text and hand it to write; an OSError (a
-    directory in the way, a full disk) is a ConfigError naming the path."""
+def _write(path, write, mode="w") -> None:
+    """Open path as text in mode ("w", or "a" to append) and hand it to
+    write; an OSError (a directory in the way, a full disk) is a
+    ConfigError naming the path."""
     try:
-        with Path(path).open("w", newline="") as fh:
+        with Path(path).open(mode, newline="") as fh:
             write(fh)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
@@ -596,7 +610,7 @@ def run_ser_sweep(config: ExperimentConfig):
     _, gains = build_channel(config)
     es = _symbol_energy(config, gains)
     out_dir = config.resolve_out_dir()
-    _archive_config(out_dir, config)
+    _archive_config(out_dir, config, ["ser_sweep.csv"])
 
     cells = [(snr, interval, trial)
              for snr in config.snr_db
@@ -656,13 +670,15 @@ def run_learning_snapshots(config: ExperimentConfig):
     Snapshot 0 is the raw received data (no curves); 1 and 2 are two
     pretraining states; 3 and 4 are two EM states; 5 is the final state
     whose decisions are also written out. Emits received.csv,
-    snapshot_manifest.csv, snapshot_curves.csv, decisions.csv, trace.csv
-    and the archived config.
+    snapshot_manifest.csv, snapshot_curves.csv, decisions.csv, trace.csv,
+    weights.csv and the archived config.
     """
     _, gains = build_channel(config)
     es = _symbol_energy(config, gains)
     out_dir = config.resolve_out_dir()
-    _archive_config(out_dir, config)
+    _archive_config(out_dir, config, [
+        "received.csv", "snapshot_manifest.csv", "snapshot_curves.csv",
+        "decisions.csv", "trace.csv", "weights.csv"])
     seed, frame, rx = simulate_cell(config, gains, es, config.snr_db[0],
                                     config.pilot_intervals[0], 0)
     const = build_constellation(config.bits_per_symbol)
@@ -745,7 +761,7 @@ def run_fading_estimation(config: ExperimentConfig):
     _, gains = build_channel(config)
     es = _symbol_energy(config, gains)
     out_dir = config.resolve_out_dir()
-    _archive_config(out_dir, config)
+    _archive_config(out_dir, config, ["fading.csv", "fading_summary.csv"])
     interval = config.pilot_intervals[0]
     cells = [(snr, interval, 0) for snr in config.snr_db]
     results = _map_cells(config, gains, es, _fading_group, cells)

@@ -42,14 +42,13 @@ fitted cell is read through the inference path, encode and then decode
 decode_curve and project_all rotate those points by T_k onto the curves.
 
 Everything here is plain numpy with hand-written backprop. All trainable
-parameters live in one flat float64 vector: encoder 0, ..., encoder K-1,
-then the decoder; within each MLP, layer by layer, the (fan_out, fan_in)
-weight matrix in row-major order followed by the bias: the order
-init_model draws and Adam updates. Model and optimizer updates are
-functional (new objects out, inputs untouched). The MLP kernel reads the
-parameters in augmented order instead (mlp_order): each layer one
-(fan_out, fan_in + 1) matrix [W | b], gathered from the flat vector by one
-np.take, and every layer input carries a constant ones row below its
+parameters live in one float64 vector: encoder 0, ..., encoder K-1, then
+the decoder; within each MLP, layer by layer, one (fan_out, fan_in + 1)
+matrix [W | b] in row-major order (the augmented order, mlp_layers), the
+order the kernel reads and Adam updates. init_model draws its values in
+flat order, each layer's weights then its bias, and lays them out once
+(mlp_order). Model and optimizer updates are functional (new objects out,
+inputs untouched). Every layer input carries a constant ones row below its
 features (mlp_input), so a layer is one matmul with its bias folded in,
 and its bias gradient the last column of the weight-gradient matmul.
 
@@ -64,25 +63,24 @@ curves, and a caller that wants one symbol's curve per row gathers it from
 encode's (rows, K) coordinates.
 
 A lockstep group of C cells of one shape holds its parameters as (C, P)
-rows, one flat vector per cell, and takes rows-first batches, (m, C, 2).
-Its C x K encoders run as one stack and its C decoders as a stack over
-K x m coordinates each; no number of one cell depends on the others, so
-each cell gets exactly what it gets alone (one cell's (P,) vector is the
-group of one). A pass holds at most PASS_COLUMNS cells x curves x rows,
-so a group's pilot batches share one pass and its frame batches take a
-pass per cell or few.
+rows, one parameter vector per cell, and takes rows-first batches,
+(m, C, 2). Its C x K encoders run as one stack and its C decoders as a
+stack over K x m coordinates each; no number of one cell depends on the
+others, so each cell gets exactly what it gets alone (one cell's (P,)
+vector is the group of one). A pass holds at most PASS_COLUMNS cells x
+curves x rows, so a group's pilot batches share one pass and its frame
+batches take a pass per cell or few.
 
 The SMN passes write every temporary into preallocated buffers that the
 Batch of their rows owns, one set per pass size, so every training step
 over one Batch reuses the same memory instead of paging in fresh arrays;
 the buffers go when the Batch goes, and a call given arrays builds its
-own Batch. Each set also owns a parameter buffer in augmented order, with
-the layer views of it and of its gradient built once; a pass starts by
-gathering the model's parameters in and ends by scattering the gradient
-back to the flat order. Every buffer is written before it is read,
-except the ones rows, which are written when the buffer is made and
-never again, so earlier calls never change a result, and what a public
-function returns is always a fresh array.
+own Batch. Each set also owns a parameter and a gradient buffer, with
+the layer views of both built once; a pass starts by copying the model's
+parameters in and ends by copying the gradient out. Every buffer is
+written before it is read, except the ones rows, which are written when
+the buffer is made and never again, so earlier calls never change a
+result, and what a public function returns is always a fresh array.
 """
 
 from __future__ import annotations
@@ -124,7 +122,7 @@ __all__ = [
 
 
 def param_count(widths) -> int:
-    """Length of the flat parameter block of an MLP with these widths."""
+    """Length of the parameter block of an MLP with these widths."""
     return sum((fan_in + 1) * fan_out
                for fan_in, fan_out in zip(widths[:-1], widths[1:]))
 
@@ -133,7 +131,8 @@ def param_count(widths) -> int:
 class SmnModel:
     """K encoders (IQ -> curve coordinate), one shared polar decoder."""
 
-    params: np.ndarray      # every encoder by symbol, then the decoder:
+    params: np.ndarray      # every encoder by symbol, then the decoder,
+                            # each in augmented order (mlp_layers):
                             # (P,) for one cell, (C, P) for a group
     encoder_widths: tuple   # (2, hidden, 1)
     decoder_widths: tuple   # (1, hidden, 2)
@@ -146,7 +145,7 @@ class SmnModel:
 
     @property
     def decoder_slice(self) -> slice:
-        """Where the shared decoder sits in the flat parameter vector."""
+        """Where the shared decoder sits in the parameter vector."""
         return slice(self.order * param_count(self.encoder_widths), None)
 
 
@@ -164,21 +163,26 @@ def symbol_transforms(constellation: Constellation) -> np.ndarray:
 
 def init_model(constellation: Constellation, rng_seed: int,
                hidden_units: int = 4, init_std: float = 0.1) -> SmnModel:
-    """Fresh model: weights and biases from N(0, init_std^2), sigma^2 = 1."""
-    rng = role_rng(rng_seed, "init")
+    """Fresh model: weights and biases from N(0, init_std^2), sigma^2 = 1,
+    drawn in flat order and laid out in augmented order."""
+    k = constellation.order
     enc, dec = (2, hidden_units, 1), (1, hidden_units, 2)
-    size = constellation.order * param_count(enc) + param_count(dec)
-    return SmnModel(params=init_std * rng.standard_normal(size),
-                    encoder_widths=enc, decoder_widths=dec,
+    split = k * param_count(enc)
+    flat = init_std * role_rng(rng_seed, "init").standard_normal(
+        split + param_count(dec))
+    params = np.concatenate([
+        mlp_order(enc, flat[:split].reshape(k, -1)).ravel(),
+        mlp_order(dec, flat[split:])])
+    return SmnModel(params=params, encoder_widths=enc, decoder_widths=dec,
                     transforms=symbol_transforms(constellation),
                     noise_variance=1.0)
 
 
-def mlp_order(widths) -> np.ndarray:
-    """Index that lays a flat MLP block out in augmented order: layer by
-    layer, the (fan_out, fan_in + 1) matrix [W | b] row-major, so
-    block.take(mlp_order(widths), axis=-1) is what mlp_layers views; its
-    inverse permutation gathers the flat order back."""
+def mlp_order(widths, flat: np.ndarray) -> np.ndarray:
+    """Stacked MLP blocks (..., P) drawn in flat order (layer by layer, the
+    (fan_out, fan_in) weights row-major, then the bias), laid out in
+    augmented order, which mlp_layers views: layer by layer, the
+    (fan_out, fan_in + 1) matrix [W | b] row-major."""
     parts, pos = [], 0
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         bias = pos + fan_out * fan_in
@@ -186,12 +190,12 @@ def mlp_order(widths) -> np.ndarray:
             np.arange(pos, bias).reshape(fan_out, fan_in),
             np.arange(bias, bias + fan_out)[:, None]]).ravel())
         pos = bias + fan_out
-    return np.concatenate(parts)
+    return flat.take(np.concatenate(parts), axis=-1)
 
 
 def mlp_layers(widths, blocks):
-    """[W | b] views of every layer of stacked augmented blocks (..., P)
-    (see mlp_order): (..., fan_out, fan_in + 1) each."""
+    """[W | b] views of every layer of stacked blocks (..., P) in augmented
+    order: (..., fan_out, fan_in + 1) each."""
     layers, pos = [], 0
     lead = blocks.shape[:-1]
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
@@ -324,21 +328,18 @@ def _polar(rho, angle, out0, out1):
 def encode(model: SmnModel, y: np.ndarray) -> np.ndarray:
     """Curve coordinates of one cell's (m, 2) IQ rows under every symbol's
     encoder, (m, K): the K encoders as one stack."""
-    widths = model.encoder_widths
     blocks = model.params[:model.decoder_slice.start].reshape(model.order, -1)
-    lam, _ = mlp_forward(
-        mlp_layers(widths, blocks.take(mlp_order(widths), axis=1)),
-        mlp_input(np.asarray(y, dtype=float).T))
+    lam, _ = mlp_forward(mlp_layers(model.encoder_widths, blocks),
+                         mlp_input(np.asarray(y, dtype=float).T))
     return lam[:, 0].T
 
 
 def decode(model: SmnModel, lam) -> np.ndarray:
     """Canonical curve points at the given coordinates, (len(lam), 2): one
     pass of the shared decoder, before any symbol's T_k."""
-    widths = model.decoder_widths
-    block = model.params[model.decoder_slice].take(mlp_order(widths))
-    u, _ = mlp_forward(mlp_layers(widths, block),
-                       mlp_input(np.asarray(lam, dtype=float)[None]))
+    u, _ = mlp_forward(
+        mlp_layers(model.decoder_widths, model.params[model.decoder_slice]),
+        mlp_input(np.asarray(lam, dtype=float)[None]))
     rho, angle = u
     cart = np.empty((2, rho.size))
     _sigmoid(rho, rho, cart[0], np.empty(rho.shape, dtype=bool))
@@ -369,24 +370,17 @@ class _Workspace:
 
     def __init__(self, cells, curves, encoder_widths, decoder_widths, rows):
         c, s, m, n = cells, curves, rows, curves * rows
-        # per cell the K encoders, then the decoder, in augmented order;
-        # gather takes a cell's flat parameters into it, scatter a
-        # gradient back. The layer views are built once.
-        enc = mlp_order(encoder_widths)
-        split = s * len(enc)
-        self.gather = np.concatenate(
-            [(np.arange(s)[:, None] * len(enc) + enc).ravel(),
-             split + mlp_order(decoder_widths)])
-        size = len(self.gather)
-        # the inverse permutation (np.argsort would page in the sort code)
-        self.scatter = np.empty_like(self.gather)
-        self.scatter[self.gather] = np.arange(size)
+        # per cell the K encoders, then the decoder, laid out as the
+        # model's parameters; the layer views are built once
+        enc = param_count(encoder_widths)
+        split = s * enc
+        size = split + param_count(decoder_widths)
         self.params, self.grad = np.empty((c, size)), np.empty((c, size))
         self.enc_layers = mlp_layers(
-            encoder_widths, self.params[:, :split].reshape(c, s, len(enc)))
+            encoder_widths, self.params[:, :split].reshape(c, s, enc))
         self.dec_layers = mlp_layers(decoder_widths, self.params[:, split:])
         self.enc_grads = mlp_layers(
-            encoder_widths, self.grad[:, :split].reshape(c, s, len(enc)))
+            encoder_widths, self.grad[:, :split].reshape(c, s, enc))
         self.dec_grads = mlp_layers(decoder_widths, self.grad[:, split:])
         self.finite = np.empty(self.grad.shape, dtype=bool)
         # the decoder input: a cell's coordinates side by side, which the
@@ -530,7 +524,7 @@ def _distance_pass(params: np.ndarray, batch: Batch, part: slice,
     distances, the residuals' squared norms, into d2, (c, K, m); returns
     the MLP caches of the encoders and of the decoder, and the
     residuals."""
-    np.take(params, ws.gather, axis=1, out=ws.params, mode="clip")
+    np.copyto(ws.params, params)
     _, enc_cache = mlp_forward(ws.enc_layers, batch.x[part], ws.enc_acts)
     _, dec_cache = mlp_forward(ws.dec_layers, ws.lam, ws.dec_acts)
     p0, p1 = ws.tmp, ws.tmp2
@@ -568,12 +562,12 @@ def weighted_loss(model: SmnModel, y, w=None):
 
 
 def collect_params(model: SmnModel) -> np.ndarray:
-    """The flat trainable parameter vector (encoders by symbol, then decoder)."""
+    """The trainable parameter vector (encoders by symbol, then decoder)."""
     return model.params
 
 
 def with_params(model: SmnModel, params) -> SmnModel:
-    """New model with the flat parameter vector swapped in."""
+    """New model with the parameter vector swapped in."""
     params = np.asarray(params, dtype=float)
     if params.shape != model.params.shape:
         raise ValueError(f"params must have shape {model.params.shape}, "
@@ -587,7 +581,7 @@ def loss_and_gradients(model: SmnModel, y, w=None):
 
     Takes a Batch built for the model, or the arrays it is built from: for
     one cell's model, y is (m, 2) and w (m, K), and the result a float and
-    a flat vector. For a group, whose parameters are (C, P), y is (m, C, 2)
+    a (P,) vector. For a group, whose parameters are (C, P), y is (m, C, 2)
     and w (m, C, K), and the result one loss per cell, (C,), and one
     gradient row per cell, (C, P). The shared decoder's gradient sums the
     contributions of every symbol curve; the fixed transforms get none.
@@ -601,7 +595,7 @@ def loss_and_gradients(model: SmnModel, y, w=None):
         if not (np.isfinite(loss[part]).all()
                 and np.isfinite(ws.grad, out=ws.finite).all()):
             raise NonFiniteError("loss or gradient overflowed to NaN/Inf")
-        np.take(ws.grad, ws.scatter, axis=1, out=grad[part], mode="clip")
+        np.copyto(grad[part], ws.grad)
     if model.params.ndim == 1:
         return float(loss[0]), grad[0]
     return loss, grad
@@ -610,9 +604,8 @@ def loss_and_gradients(model: SmnModel, y, w=None):
 def _loss_pass(params: np.ndarray, batch: Batch, part: slice,
                ws: _Workspace):
     """One pass over the cells of a batch in part, whose parameters are
-    given: returns their losses and writes their gradient in augmented
-    order into ws.grad. Works in the canonical frame, on the residual
-    p - u_k (see Batch)."""
+    given: returns their losses and writes their gradient into ws.grad.
+    Works in the canonical frame, on the residual p - u_k (see Batch)."""
     p0, p1, rho, angle = ws.tmp, ws.tmp2, ws.rho, ws.angle
     tmp = ws.scratch[2]
     (enc_cache, dec_cache), d0, d1 = _distance_pass(params, batch, part, ws,

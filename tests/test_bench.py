@@ -43,6 +43,12 @@ DUPLICATE_KEYS = pytest.mark.parametrize("text, field", [
     ids=["field-then-unit", "unit-then-field", "plain"])
 
 
+def never_simulate(*args, **kwargs):
+    """Stands in for bench.simulate_cell where no cell may be simulated:
+    every study calls it before any fit."""
+    raise AssertionError("a cell was simulated")
+
+
 def quick_config(**overrides):
     base = dict(frame_length=512, pilot_intervals=(16,), snr_db=(14.0,),
                 pretrain_steps=150, em_iterations=2, mstep_steps=30,
@@ -510,7 +516,9 @@ class TestCli:
     @pytest.mark.parametrize("case", [
         "config-is-directory", "config-not-utf8", "outdir-is-file",
         "outdir-under-file", "archive-is-directory", "csv-is-directory"])
-    def test_unusable_path_exit_two(self, tmp_path, capsys, case):
+    def test_unusable_path_exit_two(self, tmp_path, capsys, monkeypatch,
+                                    case):
+        monkeypatch.setattr(bench, "simulate_cell", never_simulate)
         config = tmp_path / "run.txt"
         config.write_text("frame_length = 512\ntrials = 1\n"
                           "receivers = genie_ml\n")
@@ -530,7 +538,7 @@ class TestCli:
                     "csv-is-directory": "ser_sweep.csv"}.get(case)
         if artifact:
             # a directory in the way of an artifact: the archived config
-            # is written before the sweep runs, its table after it
+            # is written and the table opened before any cell is simulated
             named = out / artifact
             named.mkdir(parents=True)
         code = main(["ser-sweep", "--config", str(config),
@@ -539,6 +547,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(named) in err
+
+    @pytest.mark.parametrize("command, artifact", [
+        ("snapshots", name) for name in (
+            "received.csv", "snapshot_manifest.csv", "snapshot_curves.csv",
+            "decisions.csv", "trace.csv", "weights.csv")] + [
+        ("fading", name) for name in ("fading.csv", "fading_summary.csv")])
+    def test_unwritable_artifact_stops_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, command, artifact):
+        monkeypatch.setattr(bench, "simulate_cell", never_simulate)
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        code = main([command, "--snr", "14", "--outdir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(out / artifact) in err
 
     @pytest.mark.parametrize("command", ["snapshots", "fading"])
     def test_overflowing_fit_exit_two(self, tmp_path, capsys, command):
@@ -549,6 +573,10 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: FloatingPointError: overflow")
         assert err.count("\n") == 1, err
+        # what was written before the fit, and no empty artifact
+        written = {"snapshots": ["config.txt", "received.csv"],
+                   "fading": ["config.txt"]}[command]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == written
 
     def test_bad_override_exit_two(self, capsys):
         code = main(["ser-sweep", "--snr", "ten"])

@@ -19,6 +19,7 @@ except ImportError:  # not on every platform
 
 from plasmalink.exceptions import NonFiniteError
 from plasmalink.link import build_constellation
+from plasmalink.seeding import role_rng
 import plasmalink.net as net
 from plasmalink.net import (
     Batch,
@@ -461,52 +462,61 @@ def group_of(model, cells):
                    noise_variance=np.ones(cells))
 
 
+def assert_layers_cut_from(widths, block, flat):
+    """Every mlp_layers view of an augmented block holds its layer's
+    weights and bias as cut, in flat order, from the front of flat; returns
+    how many values were cut."""
+    pos = 0
+    for (fan_in, fan_out), layer in zip(zip(widths[:-1], widths[1:]),
+                                        mlp_layers(widths, block)):
+        end = pos + fan_out * fan_in
+        np.testing.assert_array_equal(
+            layer[:, :-1], flat[pos:end].reshape(fan_out, fan_in))
+        np.testing.assert_array_equal(layer[:, -1], flat[end:end + fan_out])
+        pos = end + fan_out
+    return pos
+
+
 class TestAugmentedOrder:
-    """The kernel reads each layer as one [W | b] matrix gathered from the
-    flat parameter vector, and writes the gradient back the same way."""
+    """Parameters are drawn in flat order (each layer's weights, then its
+    bias) and stored in the kernel's, each layer one [W | b] matrix."""
 
     @pytest.mark.parametrize("widths", [(2, 4, 1), (1, 4, 2), (2, 16, 16, 4),
                                         (2, 3, 7, 2)])
     def test_layers_hold_weights_then_bias(self, widths):
         flat = np.random.default_rng(len(widths)).normal(
             size=param_count(widths))
-        aug = flat.take(mlp_order(widths))
-        pos = 0
-        for (fan_in, fan_out), layer in zip(zip(widths[:-1], widths[1:]),
-                                            mlp_layers(widths, aug)):
-            end = pos + fan_out * fan_in
-            np.testing.assert_array_equal(
-                layer[:, :-1], flat[pos:end].reshape(fan_out, fan_in))
-            np.testing.assert_array_equal(layer[:, -1],
-                                          flat[end:end + fan_out])
-            pos = end + fan_out
-        assert pos == flat.size
+        aug = mlp_order(widths, flat)
+        assert assert_layers_cut_from(widths, aug, flat) == flat.size
 
     @pytest.mark.parametrize("widths", [(2, 4, 1), (1, 4, 2), (2, 16, 16, 4),
                                         (2, 2, 2, 16)])
     def test_gather_then_scatter_is_exact(self, widths):
-        # the DNN's widths (2, h, h, K) and the SMN's encoder and decoder
-        order = mlp_order(widths)
-        flat = np.random.default_rng(7).normal(size=(3, param_count(widths)))
-        assert sorted(order) == list(range(flat.shape[1]))
+        # the DNN's widths (2, h, h, K) and the SMN's encoder and decoder:
+        # the layout is a permutation, whose inverse gives the draws back
+        size = param_count(widths)
+        order = mlp_order(widths, np.arange(size))
+        flat = np.random.default_rng(7).normal(size=(3, size))
+        assert sorted(order) == list(range(size))
         np.testing.assert_array_equal(
-            flat.take(order, axis=1).take(np.argsort(order), axis=1), flat)
+            mlp_order(widths, flat).take(np.argsort(order), axis=1), flat)
 
     @pytest.mark.parametrize("bits, hidden", [(1, 4), (2, 4), (4, 3)])
-    def test_workspace_round_trip_is_exact(self, bits, hidden):
+    def test_init_model_lays_out_flat_draws(self, bits, hidden):
+        # every encoder by symbol, then the decoder, each cut from the
+        # init stream's draws in flat order
         model = init_model(build_constellation(bits), rng_seed=bits,
-                           hidden_units=hidden)
-        ws = net._Workspace(1, model.order, model.encoder_widths,
-                            model.decoder_widths, 16)
-        params = model.params[None]
-        np.testing.assert_array_equal(
-            params.take(ws.gather, axis=1).take(ws.scatter, axis=1), params)
-        # every encoder, then the decoder, in its own augmented order
-        enc = mlp_order(model.encoder_widths)
-        np.testing.assert_array_equal(ws.gather[:len(enc)], enc)
-        np.testing.assert_array_equal(
-            ws.gather[model.decoder_slice.start:],
-            model.decoder_slice.start + mlp_order(model.decoder_widths))
+                           hidden_units=hidden, init_std=0.5)
+        draws = 0.5 * role_rng(bits, "init").standard_normal(
+            model.params.size)
+        split = model.decoder_slice.start
+        blocks = ([(model.encoder_widths, block) for block
+                   in model.params[:split].reshape(model.order, -1)]
+                  + [(model.decoder_widths, model.params[split:])])
+        pos = 0
+        for widths, block in blocks:
+            pos += assert_layers_cut_from(widths, block, draws[pos:])
+        assert pos == draws.size
 
 
 class TestBatch:
