@@ -108,6 +108,7 @@ def _softmax(z):
     return e / e.sum(axis=-2, keepdims=True)
 
 
+@np.errstate(over="raise", invalid="raise")
 def supervised_dnn(received, frame, constellation: Constellation, rng_seed,
                    config: DnnTrainConfig = DnnTrainConfig()):
     """Pilot-trained softmax classifier (2 -> hidden -> hidden -> K).

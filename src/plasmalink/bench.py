@@ -43,6 +43,7 @@ from .em import (
     demodulate,
     extract_fading_curve,
     fit,
+    fitting,
 )
 from .exceptions import ConfigError, NonFiniteError
 from .link import (
@@ -685,31 +686,27 @@ def run_learning_snapshots(config: ExperimentConfig):
     save_sequence_csv(out_dir / "received.csv", frame, rx)
 
     schedule = config.schedule()
-    pre_steps = sorted({max(1, schedule.pretrain_steps // 8),
-                        max(1, schedule.pretrain_steps)})
-    em_iters = sorted({1, max(2, schedule.em_iterations // 2)}
-                      & set(range(1, schedule.em_iterations + 1)) or {1})
-    # the hooks see the group of one that fit trains; a snapshot keeps its
-    # cell's parameter row
+    steps, iterations = schedule.pretrain_steps, schedule.em_iterations
+    early = max(1, steps // 8)
+
+    run = partial(fitting, (rx,), (frame,), const, rng_seed=(seed,),
+                  hidden_units=config.hidden_units, init_std=config.init_std)
+    # (phase, step, model) of each curve snapshot; Adam and EM read only
+    # past steps, so a run's pretraining state is that step of a longer one
     captured = []
-
-    def pretrain_hook(step, model):
-        if step in pre_steps:
-            captured.append(("pretrain", step, model.params[0]))
-
-    def em_hook(iteration, model, weights):
-        if iteration in em_iters and iteration != schedule.em_iterations:
-            captured.append(("em", iteration, model.params[0]))
-
-    result = fit(rx, frame, const, schedule, rng_seed=seed,
-                 hidden_units=config.hidden_units, init_std=config.init_std,
-                 pretrain_hook=pretrain_hook, em_hook=em_hook)
-    captured.append(("final", schedule.em_iterations, result.model.params))
+    if early < steps:
+        state = next(run(replace(schedule, pretrain_steps=early)))
+        captured.append(("pretrain", early, state[0].model))
+    for it, (result,) in zip(range(iterations + 1), run(schedule)):
+        if it == 0 and steps:
+            captured.append(("pretrain", steps, result.model))
+        if it in (1, max(2, iterations // 2)) and it < iterations:
+            captured.append(("em", it, result.model))
+    captured.append(("final", iterations, result.model))
 
     manifest = [[0, "raw", 0, 0]]
     curve_rows = []
-    for sid, (phase, step, params) in enumerate(captured, start=1):
-        model = replace(result.model, params=params)
+    for sid, (phase, step, model) in enumerate(captured, start=1):
         lo, hi = _pilot_lam_span(model, rx, frame)
         grid = np.linspace(lo, hi, CURVE_GRID_POINTS)
         curves = decode_curve(model, grid)

@@ -9,8 +9,8 @@ Subcommands:
   selftest          fast end-to-end invariant battery
 
 Exit status: 0 on success, 1 on a failed check, 2 on usage or config
-errors, on an artifact that cannot be written and on a snapshot or fading
-fit that overflows.
+errors, on an artifact that cannot be written, on a snapshot or fading
+fit that overflows and on a size that cannot be allocated.
 """
 
 from __future__ import annotations
@@ -290,6 +290,10 @@ def main(argv=None) -> int:
         # a fit that overflows: ser-sweep records it in a cell's status,
         # snapshots and fading have no status to record it in
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # NumPy raises a private subclass; the line names the public class
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,8 @@ The evidence lower bound
                          + ln(1/K) - ln W_ik ]
 
 must never decrease across an E-step (the E-step zeroes the KL gap), which
-fit() checks on every iteration; a violation means the posterior or the
+fitting() checks as it yields each state of a run (fit() stops at the
+schedule's em_iterations); a violation means the posterior or the
 likelihood is wrong and raises immediately.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from itertools import count, islice
 
 import numpy as np
 
@@ -65,6 +67,7 @@ __all__ = [
     "e_step",
     "m_step",
     "elbo",
+    "fitting",
     "fit",
     "demodulate",
     "extract_fading_curve",
@@ -127,7 +130,7 @@ _SUMMED = ("elbo_before_e", "elbo_after_e", "loss_before_m", "loss_after_m",
 
 
 class GroupFit(tuple):
-    """The FitResult of every cell of a lockstep group, in cell order.
+    """A state of fitting: each cell's FitResult, in cell order.
 
     The group is one EM run of the product of its cells' models, whose
     bound is the sum of theirs. trace is that run's trace: per phase, each
@@ -209,33 +212,30 @@ def _cell_model(model: SmnModel, cell: int) -> SmnModel:
                    noise_variance=float(model.noise_variance[cell]))
 
 
-def _train(model: SmnModel, batch: Batch, steps: int, learning_rate: float,
-           step_hook=None) -> SmnModel:
+def _train(model: SmnModel, batch: Batch, steps: int,
+           learning_rate: float) -> SmnModel:
     """Fresh-Adam full-batch run on the weighted projection error of a
     group over a Batch; the parameters of the (private) model are updated
     in place."""
     params = model.params
     state = init_adam(params)
-    for step in range(steps):
+    for _ in range(steps):
         _, grads = loss_and_gradients(model, batch)
         new_params, state = adam_step(params, grads, state,
                                       learning_rate=learning_rate)
         np.copyto(params, new_params)
-        if step_hook is not None:
-            step_hook(step + 1, replace(model, params=params.copy()))
     return model
 
 
 def pretrain(model: SmnModel, received, frames, schedule: EmSchedule,
-             step_hook=None, pilots: Batch | None = None) -> SmnModel:
+             pilots: Batch | None = None) -> SmnModel:
     """Fit the curves of a group to its pilot samples alone, labels known.
 
     Takes a group model ((C, P) parameters) and the sequences of the
     cells' received sequences and frames, and returns the trained group
-    model; step_hook, when given, gets each step's number and group model.
-    pilots, when given, is the Batch of the pilot rows (see fit). Every
-    constellation symbol needs at least one pilot, otherwise its curve
-    (and encoder) is unidentifiable.
+    model. pilots, when given, is the Batch of the pilot rows (see
+    fitting). Every constellation symbol needs at least one pilot,
+    otherwise its curve (and encoder) is unidentifiable.
     """
     _, labels = _shared_pilots(frames)
     missing = sorted(set(range(model.order)) - set(labels.tolist()))
@@ -246,7 +246,7 @@ def pretrain(model: SmnModel, received, frames, schedule: EmSchedule,
     if pilots is None:
         pilots = _pilot_batch(model, _iq(received), frames)
     return _train(model, pilots, schedule.pretrain_steps,
-                  schedule.learning_rate, step_hook)
+                  schedule.learning_rate)
 
 
 def _clamped(variances, message: str):
@@ -344,65 +344,60 @@ def elbo(model: SmnModel, received: ReceivedSequence, w: np.ndarray) -> float:
     return float(_bound(model, d2, np.asarray(w, dtype=float).T[None])[0])
 
 
-def fit(received, frame, constellation: Constellation,
-        schedule: EmSchedule = EmSchedule(), rng_seed=0,
-        hidden_units: int = 4, init_std: float = 0.1, pretrain_hook=None,
-        em_hook=None):
-    """Full training run: pilot pretraining, then EM over the whole frame.
+def fitting(received, frames, constellation: Constellation,
+            schedule: EmSchedule, rng_seed, hidden_units: int = 4,
+            init_std: float = 0.1):
+    """Pilot pretraining, then EM over the whole frame, a state at a time.
 
     Takes a group of cells that share frame length and pilots (sequences
-    of received sequences, frames and seeds) and returns a GroupFit; one
-    cell (a ReceivedSequence, its Frame and an int seed) is fitted as a
-    group of one and gets its FitResult. A group trains in lockstep: its
-    C x K encoders run as one stack and its C decoders as another, and
-    each cell's numbers are those of fitting it alone. The hooks see the
-    group model, (C, P) parameters; em_hook also gets the posterior,
-    cell-major (C, m, K).
+    of received sequences, frames and seeds) and yields a GroupFit after
+    pretraining (iteration 0) and after every EM iteration, each FitResult
+    with its own copy of its cell's model and posterior, (m, K), and its
+    trace so far; it runs until its caller stops. A group trains in
+    lockstep: its C x K encoders run as one stack and its C decoders as
+    another, and each cell's numbers are those of fitting it alone.
 
     The initial noise variance is the pilot residual after pretraining (the
     only data-driven estimate available before the first E-step). Two
     Batches serve the fit: the pilot rows (pretraining and that residual)
-    and the frame rows, whose weights each E-step replaces; every
-    posterior, bound and loss of a curve state reads one distances call.
-    The fit runs with NumPy overflow and invalid values raised as
-    FloatingPointError. Raises RuntimeError if the lower bound of any cell
-    ever drops across an E-step beyond a 1e-9 tolerance; that invariant
+    and the frame rows, whose weights each E-step replaces; every posterior,
+    bound and loss of a curve state reads one distances call. The work
+    between states, never the caller's, raises FloatingPointError on a NumPy
+    overflow or invalid value. Raises RuntimeError if the lower bound of any
+    cell ever drops across an E-step beyond a 1e-9 tolerance; that invariant
     holds analytically, so a violation is a bug, not a tuning issue.
     """
-    if isinstance(received, ReceivedSequence):
-        return fit((received,), (frame,), constellation, schedule,
-                   (rng_seed,), hidden_units, init_std, pretrain_hook,
-                   em_hook)[0]
+    # an errstate cannot be entered twice, so each stretch opens its own
     with np.errstate(over="raise", invalid="raise"):
-        pilots = _shared_pilots(frame)
+        pilots = _shared_pilots(frames)
         models = [init_model(constellation, seed, hidden_units, init_std)
                   for seed in rng_seed]
         model = replace(models[0],
                         params=np.stack([m.params for m in models]),
                         noise_variance=np.ones(len(models)))
         y = _iq(received)
-        pilot_batch = _pilot_batch(model, y, frame)
-        model = pretrain(model, received, frame, schedule,
-                         step_hook=pretrain_hook, pilots=pilot_batch)
+        pilot_batch = _pilot_batch(model, y, frames)
+        model = pretrain(model, received, frames, schedule,
+                         pilots=pilot_batch)
         pilot_resid = weighted_loss(model, pilot_batch)
         model = replace(model, noise_variance=np.maximum(
             pilot_resid, NOISE_VARIANCE_FLOOR))
-
-        traces = [[] for _ in received]
-
-        def record(phase, iteration, *values):
-            """Append each cell's TraceRecord; values are per-cell arrays."""
-            for c, trace in enumerate(traces):
-                trace.append(TraceRecord(phase, iteration,
-                                         *(float(v[c]) for v in values)))
-
         batch = Batch(model, y)
         d2 = distances(model, batch)
         w = _posterior(model, d2, pilots)
         start = _bound(model, d2, w)
-        record("pretrain", 0, start, start, pilot_resid, pilot_resid,
-               model.noise_variance)
-        for it in range(1, schedule.em_iterations + 1):
+        phase, values = "pretrain", (start, start, pilot_resid, pilot_resid,
+                                     model.noise_variance)
+
+    traces = [[] for _ in received]
+    for it in count():
+        for c, trace in enumerate(traces):
+            trace.append(TraceRecord(phase, it,
+                                     *(float(v[c]) for v in values)))
+        yield GroupFit(FitResult(model=_cell_model(model, c),
+                                 weights=w[c].T.copy(), trace=tuple(trace))
+                       for c, trace in enumerate(traces))
+        with np.errstate(over="raise", invalid="raise"):
             before = _bound(model, d2, w)
             w = _posterior(model, d2, pilots)
             after = _bound(model, d2, w)
@@ -410,7 +405,7 @@ def fit(received, frame, constellation: Constellation,
             if len(dropped):
                 c = dropped[0]
                 raise RuntimeError(
-                    f"lower bound decreased across E-step {it}: "
+                    f"lower bound decreased across E-step {it + 1}: "
                     f"{before[c]:.12g} -> {after[c]:.12g} "
                     f"(cell {c} of the group)")
             batch.reweigh(w)
@@ -418,14 +413,22 @@ def fit(received, frame, constellation: Constellation,
             # spent: freed before the M-step makes the next
             del d2
             model, loss_after, d2 = _m_step(model, batch, schedule)
-            record("em", it, before, after, loss_before, loss_after,
-                   model.noise_variance)
-            if em_hook is not None:
-                em_hook(it, model, w.transpose(0, 2, 1))
+        phase, values = "em", (before, after, loss_before, loss_after,
+                               model.noise_variance)
 
-    return GroupFit(FitResult(model=_cell_model(model, c),
-                              weights=w[c].T.copy(), trace=tuple(trace))
-                    for c, trace in enumerate(traces))
+
+def fit(received, frame, constellation: Constellation,
+        schedule: EmSchedule = EmSchedule(), rng_seed=0,
+        hidden_units: int = 4, init_std: float = 0.1):
+    """The state of fitting at schedule.em_iterations: a GroupFit, or for
+    one cell (a ReceivedSequence, its Frame and an int seed) its
+    FitResult. A caller that reads states on the way drives fitting."""
+    if isinstance(received, ReceivedSequence):
+        return fit((received,), (frame,), constellation, schedule,
+                   (rng_seed,), hidden_units, init_std)[0]
+    return next(islice(fitting(received, frame, constellation, schedule,
+                               rng_seed, hidden_units, init_std),
+                       schedule.em_iterations, None))
 
 
 def demodulate(w: np.ndarray) -> np.ndarray:

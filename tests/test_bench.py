@@ -335,6 +335,15 @@ class TestSerSweep:
             "trial 0: failed: FloatingPointError: overflow"), by_name["smn"]
         assert np.isnan(by_name["smn"]["ser"])
         assert by_name["genie_ml"]["status"] == "ok"
+        # so does the supervised DNN's, at a learning rate of 1e308
+        records = run_ser_sweep(overflow_config(
+            out_dir=str(tmp_path), dnn_learning_rate=1e308,
+            receivers=("supervised_dnn", "genie_ml")))
+        by_name = {r["receiver"]: r for r in records}
+        assert by_name["supervised_dnn"]["status"].startswith(
+            "trial 0: failed: FloatingPointError: overflow"), by_name
+        assert np.isnan(by_name["supervised_dnn"]["ser"])
+        assert by_name["genie_ml"]["status"] == "ok"
 
     def test_invariant_violation_aborts_sweep(self, tmp_path, monkeypatch):
         def broken_fit(*args, **kwargs):
@@ -577,6 +586,21 @@ class TestCli:
         written = {"snapshots": ["config.txt", "received.csv"],
                    "fading": ["config.txt"]}[command]
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == written
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unallocatable_size_exit_two(self, tmp_path, capsys, workers):
+        # 10**7 hidden units ask for 728 TiB, more than any user address
+        # space holds, so the allocation is refused outright; two pilot
+        # intervals make two groups, which run through the pool at 2
+        (tmp_path / "run.txt").write_text(config_to_text(quick_config(
+            dnn_hidden=10**7, dnn_steps=1, receivers=("supervised_dnn",))))
+        code = main(["ser-sweep", "--config", str(tmp_path / "run.txt"),
+                     "--outdir", str(tmp_path / "out"),
+                     "--intervals", "16,32", "--workers", workers])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MemoryError: "), err
+        assert err.count("\n") == 1, err
 
     def test_bad_override_exit_two(self, capsys):
         code = main(["ser-sweep", "--snr", "ten"])

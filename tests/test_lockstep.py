@@ -8,6 +8,7 @@ or on the worker count.
 
 import math
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from plasmalink.bench import (
     run_fading_estimation,
     run_ser_sweep,
 )
-from plasmalink.em import EmSchedule, GroupFit, demodulate, fit
+from plasmalink.em import EmSchedule, GroupFit, demodulate, fit, fitting
 from plasmalink.link import (
     build_constellation,
     build_frame,
@@ -125,15 +126,49 @@ class TestGroupFit:
             assert rec.elbo_after_e == math.fsum(
                 r.trace[i].elbo_after_e for r in lone)
 
-    def test_hooks_see_group_models(self):
+    def test_states_equal_fits_at_every_iteration(self):
+        # fitting never reads em_iterations: a schedule of 1 taken to
+        # state 3 passes through fit's result at 0, 1, 2 and 3 iterations,
+        # and a state kept while the run goes on keeps its numbers
         const, group = cells(count=2)
         seeds, frames, received = zip(*group)
-        seen = []
-        fit(received, frames, const, SCHEDULE, rng_seed=seeds,
-            pretrain_hook=lambda step, m: seen.append(m.params.shape),
-            em_hook=lambda it, m, w: seen.append(w.shape))
-        assert seen[0] == (2, init_model(const, 0).params.size)
-        assert seen[-1] == (2, 256, const.order)
+        states = list(islice(fitting(
+            received, frames, const, replace(SCHEDULE, em_iterations=1),
+            seeds), 4))
+        for k, state in enumerate(states):
+            expect = fit(received, frames, const,
+                         replace(SCHEDULE, em_iterations=k), rng_seed=seeds)
+            for a, b in zip(state, expect, strict=True):
+                np.testing.assert_array_equal(a.model.params, b.model.params)
+                assert a.model.noise_variance == b.model.noise_variance
+                np.testing.assert_array_equal(a.weights, b.weights)
+                assert a.trace == b.trace
+
+    def test_states_hold_each_cell(self):
+        const, group = cells(count=2)
+        seeds, frames, received = zip(*group)
+        run = fitting(received, frames, const, SCHEDULE, seeds)
+        for k, state in zip(range(4), run):
+            assert isinstance(state, GroupFit) and len(state) == 2
+            for result in state:
+                assert len(result.trace) == k + 1
+                assert result.trace[-1].iteration == k
+                assert result.weights.shape == (256, const.order)
+                assert result.model.params.shape == \
+                    init_model(const, 0).params.shape
+
+    def test_caller_error_state_untouched(self):
+        # the fit raises on overflow between states, never in the caller
+        const, group = cells(count=2)
+        seeds, frames, received = zip(*group)
+        caller = np.geterr()
+        run = fitting(received, frames, const, SCHEDULE, seeds)
+        next(run)
+        assert np.geterr() == caller
+        next(run)
+        assert np.geterr() == caller
+        run.close()
+        assert np.geterr() == caller
 
     def test_cells_must_share_pilots(self):
         const, group = cells(count=2)
