@@ -305,21 +305,24 @@ def save_config(path, config: ExperimentConfig) -> None:
     _write(path, lambda fh: fh.write(config_to_text(config)))
 
 
-def _archive_config(out_dir: Path, config: ExperimentConfig,
-                    artifacts) -> None:
-    """Write the archived config, then open every artifact the study will
-    write (names in out_dir) in append mode, which truncates no earlier
-    file: one that cannot be written stops the study before any cell is
-    simulated. A file the opening created is removed again, so a study
-    that fails later leaves no empty artifact. The archived copy is
-    location-independent: the output path is not part of the experiment,
-    so it is blanked before writing."""
+def _open_study(config: ExperimentConfig, artifacts):
+    """A study's set-up before any cell runs; returns (gains, out_dir).
+    The channel and every SNR's noise variance are checked before any file
+    is written. Then the config is archived, location-independent (out_dir
+    blanked), and every artifact (names in out_dir) is opened in append
+    mode, which truncates no earlier file, so one that cannot be written
+    stops the study here; a file the opening created is removed again."""
+    _, gains = build_channel(config)
+    for snr in config.snr_db:
+        _noise_variance(config, gains, snr)
+    out_dir = config.resolve_out_dir()
     save_config(out_dir / "config.txt", replace(config, out_dir=""))
     for path in (out_dir / name for name in artifacts):
         created = not path.exists()
         _write(path, lambda fh: None, mode="a")
         if created:
             path.unlink()
+    return gains, out_dir
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +381,25 @@ def build_channel(config: ExperimentConfig):
     return params, gains
 
 
-def _symbol_energy(config: ExperimentConfig, gains: np.ndarray) -> float:
-    """Energy the SNR is referenced to (unit transmit vs mean received)."""
-    if config.snr_reference == "received":
-        return float(np.mean(np.abs(gains) ** 2))
-    return 1.0
-
-
-def _es_n0_db(config: ExperimentConfig, snr_db: float) -> float:
-    if config.snr_is_ebn0:
-        return snr_db + 10.0 * np.log10(config.bits_per_symbol)
-    return snr_db
+def _noise_variance(config: ExperimentConfig, gains: np.ndarray,
+                    snr_db: float) -> float:
+    """A cell's total noise variance at snr_db, read as Es/N0 (or Eb/N0 if
+    snr_is_ebn0: Es/N0 = snr_db + 10 log10(bits)) over unit transmitted
+    energy, or over the gains' mean energy if snr_reference is received.
+    A variance that is not finite and > 0 is a ConfigError."""
+    es = (float(np.mean(np.abs(gains) ** 2))
+          if config.snr_reference == "received" else 1.0)
+    es_n0 = (snr_db + 10.0 * np.log10(config.bits_per_symbol)
+             if config.snr_is_ebn0 else snr_db)
+    with np.errstate(all="ignore"):
+        try:
+            var = snr_to_noise_variance(es_n0, symbol_energy=es)
+        except (ArithmeticError, ValueError):  # 10^x out of range, es 0
+            var = 0.0
+    if not 0.0 < var < np.inf:
+        raise ConfigError(f"snr_db {snr_db:g} puts the noise variance out "
+                          f"of float range (symbol energy {es:.3g})")
+    return var
 
 
 # cell seeds key an SNR by its millidecibels in 32 bits, so the key is
@@ -408,14 +419,14 @@ def cell_seed(base_seed: int, snr_db: float, interval: int,
     return int(seq.generate_state(1, np.uint32)[0])
 
 
-def simulate_cell(config: ExperimentConfig, gains: np.ndarray, es: float,
+def simulate_cell(config: ExperimentConfig, gains: np.ndarray,
                   snr_db: float, interval: int, trial: int):
     """One cell's seed, frame and received sequence."""
     seed = cell_seed(config.seed, snr_db, interval, trial)
     const = build_constellation(config.bits_per_symbol)
     frame = build_frame(config.frame_length, interval, rng_seed=seed,
                         order=const.order)
-    var = snr_to_noise_variance(_es_n0_db(config, snr_db), symbol_energy=es)
+    var = _noise_variance(config, gains, snr_db)
     return seed, frame, transmit(frame, const, gains, var, rng_seed=seed)
 
 
@@ -447,13 +458,13 @@ def _cell_groups(cells):
     return groups
 
 
-def _map_cells(config: ExperimentConfig, gains: np.ndarray, es: float,
-               run, cells) -> dict:
-    """run(config, gains, es, group) -> one output per cell, for every
+def _map_cells(config: ExperimentConfig, gains: np.ndarray, run,
+               cells) -> dict:
+    """run(config, gains, group) -> one output per cell, for every
     lockstep group of the cells; returns cell -> output. The groups go
     through a process pool when there are several and workers > 1."""
     groups = _cell_groups(cells)
-    run = partial(run, config, gains, es)
+    run = partial(run, config, gains)
     workers = min(config.workers, len(groups))
     if workers > 1:
         # imported here: a serial run, and every start-up, skips its cost
@@ -515,13 +526,17 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _write_records(path, schema: str, records) -> None:
+    """Records (dicts with the same keys) as a CSV whose header is the
+    first record's keys; a float is written through _fmt, any other
+    value as csv writes it."""
+    _write_csv(path, schema, records[0],
+               ([_fmt(v) if isinstance(v, float) else v for v in r.values()]
+                for r in records))
+
+
 def save_trace_csv(path, trace) -> None:
-    rows = [[r.phase, r.iteration, _fmt(r.elbo_before_e),
-             _fmt(r.elbo_after_e), _fmt(r.loss_before_m),
-             _fmt(r.loss_after_m), _fmt(r.noise_variance)] for r in trace]
-    _write_csv(path, "elbo_trace v1",
-               ["phase", "iteration", "elbo_before_e", "elbo_after_e",
-                "loss_before_m", "loss_after_m", "noise_variance"], rows)
+    _write_records(path, "elbo_trace v1", [vars(r) for r in trace])
 
 
 def save_sequence_csv(path, frame: Frame, received: ReceivedSequence) -> None:
@@ -585,11 +600,10 @@ def _decisions(config: ExperimentConfig, receiver: str, seeds, frames,
                 for seed, frame, rx in zip(seeds, frames, received)]
 
 
-def _run_group(config: ExperimentConfig, gains: np.ndarray, es: float,
-               group) -> list:
+def _run_group(config: ExperimentConfig, gains: np.ndarray, group) -> list:
     """All receivers on the cells of one group; per cell, receiver ->
     SerStats or failure status."""
-    seeds, frames, received = zip(*(simulate_cell(config, gains, es, *cell)
+    seeds, frames, received = zip(*(simulate_cell(config, gains, *cell)
                                     for cell in group))
     out = [{} for _ in group]
     for receiver in config.receivers:
@@ -608,16 +622,13 @@ def run_ser_sweep(config: ExperimentConfig):
     row's counts (ser is NaN if no trial ran) and named in `status`; any
     other exception aborts the sweep.
     """
-    _, gains = build_channel(config)
-    es = _symbol_energy(config, gains)
-    out_dir = config.resolve_out_dir()
-    _archive_config(out_dir, config, ["ser_sweep.csv"])
+    gains, out_dir = _open_study(config, ["ser_sweep.csv"])
 
     cells = [(snr, interval, trial)
              for snr in config.snr_db
              for interval in config.pilot_intervals
              for trial in range(config.trials)]
-    results = _map_cells(config, gains, es, _run_group, cells)
+    results = _map_cells(config, gains, _run_group, cells)
 
     records = []
     for snr in config.snr_db:
@@ -642,14 +653,7 @@ def run_ser_sweep(config: ExperimentConfig):
                     "bandwidth_utilization": util, "status": status,
                 })
 
-    rows = [[r["receiver"], _fmt(r["snr_db"]), r["pilot_interval"],
-             r["trials"], r["payload_symbols"], r["errors"],
-             _fmt(r["ser"]), _fmt(r["bandwidth_utilization"]), r["status"]]
-            for r in records]
-    _write_csv(out_dir / "ser_sweep.csv", "ser_sweep v1",
-               ["receiver", "snr_db", "pilot_interval", "trials",
-                "payload_symbols", "errors", "ser",
-                "bandwidth_utilization", "status"], rows)
+    _write_records(out_dir / "ser_sweep.csv", "ser_sweep v1", records)
     return records
 
 
@@ -674,13 +678,10 @@ def run_learning_snapshots(config: ExperimentConfig):
     snapshot_manifest.csv, snapshot_curves.csv, decisions.csv, trace.csv,
     weights.csv and the archived config.
     """
-    _, gains = build_channel(config)
-    es = _symbol_energy(config, gains)
-    out_dir = config.resolve_out_dir()
-    _archive_config(out_dir, config, [
+    gains, out_dir = _open_study(config, [
         "received.csv", "snapshot_manifest.csv", "snapshot_curves.csv",
         "decisions.csv", "trace.csv", "weights.csv"])
-    seed, frame, rx = simulate_cell(config, gains, es, config.snr_db[0],
+    seed, frame, rx = simulate_cell(config, gains, config.snr_db[0],
                                     config.pilot_intervals[0], 0)
     const = build_constellation(config.bits_per_symbol)
     save_sequence_csv(out_dir / "received.csv", frame, rx)
@@ -734,12 +735,11 @@ def run_learning_snapshots(config: ExperimentConfig):
 # study 3: fading estimation
 
 
-def _fading_group(config: ExperimentConfig, gains: np.ndarray, es: float,
-                  group) -> list:
+def _fading_group(config: ExperimentConfig, gains: np.ndarray, group) -> list:
     """One lockstep fit of a group's cells; per cell, the true gains and
     the per-sample gain estimates."""
     const = build_constellation(config.bits_per_symbol)
-    seeds, frames, received = zip(*(simulate_cell(config, gains, es, *cell)
+    seeds, frames, received = zip(*(simulate_cell(config, gains, *cell)
                                     for cell in group))
     fits = fit(received, frames, const, config.schedule(), rng_seed=seeds,
                hidden_units=config.hidden_units, init_std=config.init_std)
@@ -755,16 +755,12 @@ def run_fading_estimation(config: ExperimentConfig):
     and fading_summary.csv (per-SNR RMSE) plus the archived config. The
     SNR cells run in lockstep groups, through the pool as the sweep's do.
     """
-    _, gains = build_channel(config)
-    es = _symbol_energy(config, gains)
-    out_dir = config.resolve_out_dir()
-    _archive_config(out_dir, config, ["fading.csv", "fading_summary.csv"])
+    gains, out_dir = _open_study(config, ["fading.csv", "fading_summary.csv"])
     interval = config.pilot_intervals[0]
     cells = [(snr, interval, 0) for snr in config.snr_db]
-    results = _map_cells(config, gains, es, _fading_group, cells)
+    results = _map_cells(config, gains, _fading_group, cells)
 
     sample_rows = []
-    summary_rows = []
     summaries = []
     for cell in cells:
         snr = cell[0]
@@ -773,7 +769,6 @@ def run_fading_estimation(config: ExperimentConfig):
         rmse = float(np.sqrt(np.mean(np.abs(err) ** 2)))
         summaries.append({"snr_db": snr, "rmse": rmse,
                           "samples": len(true_gains)})
-        summary_rows.append([_fmt(snr), _fmt(rmse), len(true_gains)])
         for i in range(len(true_gains)):
             sample_rows.append([
                 _fmt(snr), i,
@@ -784,6 +779,6 @@ def run_fading_estimation(config: ExperimentConfig):
     _write_csv(out_dir / "fading.csv", "fading v1",
                ["snr_db", "index", "true_I", "true_Q", "est_I", "est_Q",
                 "abs_error"], sample_rows)
-    _write_csv(out_dir / "fading_summary.csv", "fading_summary v1",
-               ["snr_db", "rmse", "samples"], summary_rows)
+    _write_records(out_dir / "fading_summary.csv", "fading_summary v1",
+                   summaries)
     return summaries

@@ -25,6 +25,7 @@ from .baselines import genie_ml, qpsk_theory_ser
 from .bench import (
     ExperimentConfig,
     build_channel,
+    compute_ser,
     load_config,
     parse_value,
     run_fading_estimation,
@@ -106,10 +107,17 @@ def _cmd_fading(args) -> int:
     return 0
 
 
-def _dispersion_error(density, params) -> float:
+_DISPERSION_TOLERANCE = 1e-10  # the largest relative error that passes
+
+
+def _dispersion_error(params, seed) -> float:
     """Dispersion self-consistency: the largest relative error with which
     the split coefficients rebuild the complex propagation constant of the
-    square-root route (physics.propagation_vector) over the densities."""
+    square-root route (physics.propagation_vector), over 1000 densities
+    drawn log-uniformly from params.density_range at seed."""
+    lo, hi = params.density_range
+    rng = np.random.default_rng(seed)
+    density = 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), 1000)
     alpha, beta = attenuation_phase_coefficients(density, params)
     reference = propagation_vector(density, params)
     rebuilt = beta - 1j * alpha
@@ -119,16 +127,14 @@ def _dispersion_error(density, params) -> float:
 def _cmd_validate_physics(args) -> int:
     """The dispersion check over 1000 random densities."""
     params = reference_channel_params()
-    rng = np.random.default_rng(_resolve_config(args).seed)
+    worst = _dispersion_error(params, _resolve_config(args).seed)
     lo, hi = params.density_range
-    density = 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), 1000)
-    worst = _dispersion_error(density, params)
     print(f"1000 densities in [{lo:.3g}, {hi:.3g}] per m^3: "
           f"max relative error {worst:.3e}")
-    if worst < 1e-10:
+    if worst < _DISPERSION_TOLERANCE:
         print("validate-physics: pass")
         return 0
-    print("validate-physics: FAIL (tolerance 1e-10)")
+    print(f"validate-physics: FAIL (tolerance {_DISPERSION_TOLERANCE:g})")
     return 1
 
 
@@ -136,9 +142,8 @@ def _selftest_checks():
     """Yield (name, callable) pairs; each callable raises on failure."""
 
     def physics_consistency():
-        worst = _dispersion_error(np.logspace(22, np.log10(6e23), 200),
-                                  reference_channel_params())
-        assert worst <= 1e-10, worst
+        worst = _dispersion_error(reference_channel_params(), 0)
+        assert worst < _DISPERSION_TOLERANCE, worst
 
     def constellation_energy():
         for bits in (1, 2, 3, 4):
@@ -212,13 +217,11 @@ def _selftest_checks():
                                   snr_reference="received",
                                   standard_drude_loss=True)
         _, gains = build_channel(config)
-        es = float(np.mean(np.abs(gains) ** 2))
-        seed, frame, rx = simulate_cell(config, gains, es, 20.0, 16, 0)
+        seed, frame, rx = simulate_cell(config, gains, 20.0, 16, 0)
         result = fit(rx, frame, const, config.schedule(), rng_seed=seed)
-        decisions = demodulate(result.weights)
-        errs = np.sum(decisions[frame.payload_positions]
-                      != frame.symbols[frame.payload_positions])
-        assert errs / len(frame.payload_positions) < 0.35, errs
+        stats = compute_ser(demodulate(result.weights), frame.symbols,
+                            frame.payload_positions)
+        assert stats.ser < 0.35, stats
 
     return [
         ("physics-consistency", physics_consistency),

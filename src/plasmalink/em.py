@@ -99,6 +99,11 @@ class EmSchedule:
             raise ConfigError("learning_rate must be finite and > 0")
 
 
+# TraceRecord's float fields: each is checked finite, and summed in a group
+_SUMMED = ("elbo_before_e", "elbo_after_e", "loss_before_m", "loss_after_m",
+           "noise_variance")
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     """Lower-bound and loss bookkeeping for one training phase."""
@@ -112,8 +117,7 @@ class TraceRecord:
     noise_variance: float
 
     def __post_init__(self):
-        for name in ("elbo_before_e", "elbo_after_e",
-                     "loss_before_m", "loss_after_m", "noise_variance"):
+        for name in _SUMMED:
             if not np.isfinite(getattr(self, name)):
                 raise FloatingPointError(f"non-finite trace field {name}")
 
@@ -123,10 +127,6 @@ class FitResult:
     model: SmnModel
     weights: np.ndarray            # final posterior matrix, (m, K)
     trace: tuple                   # TraceRecord per phase
-
-
-_SUMMED = ("elbo_before_e", "elbo_after_e", "loss_before_m", "loss_after_m",
-           "noise_variance")
 
 
 class GroupFit(tuple):

@@ -1,10 +1,10 @@
 """Deterministic PRNG substreams.
 
 All randomness in the package flows through numpy's PCG64 generator, keyed
-by ``SeedSequence([seed, role_id, *extra])``. Each role (payload symbols,
-channel noise, weight init, baseline classifier, sweep cell) gets its own
-substream, so e.g. changing the noise draw never perturbs the frame
-contents. Streams are platform independent and bit-reproducible.
+by ``SeedSequence([seed, role_id])`` (bench.cell_seed adds a cell's SNR,
+interval and trial). Each role in ROLES gets its own substream, so e.g.
+changing the noise draw never perturbs the frame contents. Streams are
+platform independent and bit-reproducible.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ ROLES = {
 }
 
 
-def role_rng(seed: int, role: str, *extra: int) -> np.random.Generator:
-    """Generator for the given role, optionally sub-keyed (trial, cell id...)."""
+def role_rng(seed: int, role: str) -> np.random.Generator:
+    """Generator for the given role."""
     if role not in ROLES:
         raise ValueError(f"unknown rng role {role!r}; expected one of {sorted(ROLES)}")
-    return np.random.default_rng(np.random.SeedSequence([seed, ROLES[role], *extra]))
+    return np.random.default_rng(np.random.SeedSequence([seed, ROLES[role]]))

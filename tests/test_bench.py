@@ -17,8 +17,7 @@ from plasmalink import bench
 from plasmalink.bench import (
     ExperimentConfig,
     SerStats,
-    _es_n0_db,
-    _symbol_energy,
+    _noise_variance,
     build_channel,
     cell_seed,
     compute_ser,
@@ -237,17 +236,35 @@ class TestBuildChannel:
 
 class TestSnrPlumbing:
     def test_symbol_energy_reference(self):
+        # at 10 dB the variance is a tenth of the reference energy: 1 for
+        # the transmitted symbols, the mean of |g|^2 = 0.625 received
         gains = np.array([1.0, 0.5j])
-        assert _symbol_energy(quick_config(snr_reference="transmit"),
-                              gains) == 1.0
-        assert _symbol_energy(quick_config(snr_reference="received"),
-                              gains) == pytest.approx(0.625, rel=1e-12)
+        assert _noise_variance(quick_config(snr_reference="transmit"),
+                               gains, 10.0) == pytest.approx(0.1, rel=1e-12)
+        assert _noise_variance(quick_config(snr_reference="received"),
+                               gains, 10.0) == pytest.approx(0.0625,
+                                                             rel=1e-12)
 
     def test_ebn0_relabeling(self):
+        gains = np.ones(4)
         config = quick_config(snr_is_ebn0=True)
         expect = 8.0 + 10 * np.log10(2)  # QPSK: Es = 2 Eb
-        assert _es_n0_db(config, 8.0) == pytest.approx(expect, rel=1e-12)
-        assert _es_n0_db(quick_config(), 8.0) == 8.0
+        assert _noise_variance(config, gains, 8.0) == pytest.approx(
+            10 ** (-expect / 10), rel=1e-12)
+        assert _noise_variance(quick_config(), gains, 8.0) == pytest.approx(
+            10 ** -0.8, rel=1e-12)
+
+    @pytest.mark.parametrize("reference", ["transmit", "received"])
+    @pytest.mark.parametrize("ebn0", [False, True])
+    def test_cell_noise_variance(self, reference, ebn0):
+        # the variance a simulated cell carries, for each SNR convention
+        config = quick_config(snr_reference=reference, snr_is_ebn0=ebn0)
+        _, gains = build_channel(config)
+        es = np.mean(np.abs(gains) ** 2) if reference == "received" else 1.0
+        es_n0 = 14.0 + (10 * np.log10(2) if ebn0 else 0.0)
+        _, _, rx = bench.simulate_cell(config, gains, 14.0, 16, 0)
+        assert rx.noise_variance == pytest.approx(es / 10 ** (es_n0 / 10),
+                                                  rel=1e-12)
 
     def test_cell_seed_keyed_by_values(self):
         assert cell_seed(0, 14.0, 256, 3) == cell_seed(0, 14.0, 256, 3)
@@ -298,8 +315,15 @@ class TestSerSweep:
 
         text = (tmp_path / "ser_sweep.csv").read_text().splitlines()
         assert text[0] == "# schema: ser_sweep v1"
-        assert text[1].startswith("receiver,snr_db,")
+        assert text[1] == ("receiver,snr_db,pilot_interval,trials,"
+                           "payload_symbols,errors,ser,"
+                           "bandwidth_utilization,status")
         assert len(text) == 2 + len(records)
+        # a float in %.17g, so 14.0 is "14"; counts as integers
+        genie = by_key[("genie_ml", 14.0)]
+        assert text[2 + records.index(genie)] == (
+            f"genie_ml,14,16,2,960,{genie['errors']},{genie['ser']:.17g},"
+            f"0.9375,ok")
         archived = load_config(tmp_path / "config.txt")
         assert archived == ExperimentConfig(**{
             **config.__dict__, "out_dir": ""})
@@ -431,7 +455,14 @@ class TestSnapshots:
         result, _, _ = run_learning_snapshots(config)
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert lines[0] == "# schema: elbo_trace v1"
+        assert lines[1] == ("phase,iteration,elbo_before_e,elbo_after_e,"
+                            "loss_before_m,loss_after_m,noise_variance")
         assert len(lines) == 2 + len(result.trace)
+        last = result.trace[-1]
+        assert lines[-1] == ",".join(
+            ["em", "2"] + [f"{v:.17g}" for v in (
+                last.elbo_before_e, last.elbo_after_e, last.loss_before_m,
+                last.loss_after_m, last.noise_variance)])
 
 
 class TestFadingEstimation:
@@ -443,6 +474,12 @@ class TestFadingEstimation:
         assert [s["snr_db"] for s in summaries] == [20.0, 5.0]
         assert all(np.isfinite(s["rmse"]) for s in summaries)
         assert all(s["samples"] == 512 for s in summaries)
+
+        summary = (tmp_path / "fading_summary.csv").read_text().splitlines()
+        assert summary[:2] == ["# schema: fading_summary v1",
+                               "snr_db,rmse,samples"]
+        assert summary[2:] == [f"20,{summaries[0]['rmse']:.17g},512",
+                               f"5,{summaries[1]['rmse']:.17g},512"]
 
         lines = (tmp_path / "fading.csv").read_text().splitlines()
         assert lines[0] == "# schema: fading v1"
@@ -719,6 +756,41 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "given twice" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ser-sweep", "snapshots", "fading"])
+    @pytest.mark.parametrize("config_text", [
+        "snr_db = 3100\n", "snr_db = -3300\n", "snr_db = -3200\n",
+        "snr_db = 3080\nsnr_is_ebn0 = true\n",
+        "gain_floor = 1e-200\nprofile = constant\nconstant_level = 6e23\n"
+        "snr_reference = received\n"],
+        ids=["overflow", "zero-division", "infinite-noise",
+             "ebn0-zero-noise", "zero-received-energy"])
+    def test_noise_variance_out_of_range_exit_two(self, tmp_path, capsys,
+                                                  command, config_text):
+        # each SNR passes the config's own check, but its noise variance
+        # is not finite and > 0: one line naming snr_db, and no file
+        (tmp_path / "run.txt").write_text(
+            "frame_length = 256\npilot_intervals = 16\ntrials = 1\n"
+            "pretrain_steps = 20\nem_iterations = 1\nmstep_steps = 5\n"
+            "dnn_steps = 20\n" + config_text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(tmp_path / "run.txt"),
+                         "--outdir", str(out)])
+        assert not caught, [str(w.message) for w in caught]
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: snr_db ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snr", ["3000", "-3000"])
+    def test_extreme_snr_in_float_range_runs(self, tmp_path, capsys, snr):
+        code = main(["ser-sweep", f"--snr={snr}", "--receivers", "genie_ml",
+                     "--trials", "1", "--intervals", "16",
+                     "--outdir", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "ser_sweep.csv").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("carrier_freq_hz", "nan"), ("collision_freq_hz", "-1"),
