@@ -85,6 +85,9 @@ def pilot_interp_ml(received: ReceivedSequence, frame: Frame,
 
 @dataclass(frozen=True)
 class DnnTrainConfig:
+    """Training settings of supervised_dnn. An error names a field by its
+    ExperimentConfig key (dnn_hidden, dnn_steps, dnn_learning_rate)."""
+
     hidden_units: int = 16
     steps: int = 2000
     learning_rate: float = 1e-3
@@ -92,11 +95,13 @@ class DnnTrainConfig:
 
     def __post_init__(self):
         if self.steps < 0:
-            raise ConfigError("dnn steps must be >= 0")
+            raise ConfigError(f"dnn_steps must be >= 0, got {self.steps}")
         if self.hidden_units < 1:
-            raise ConfigError("dnn hidden units must be >= 1")
+            raise ConfigError(f"dnn_hidden must be >= 1, "
+                              f"got {self.hidden_units}")
         if not 0 < self.learning_rate < math.inf:
-            raise ConfigError("dnn learning_rate must be finite and > 0")
+            raise ConfigError(f"dnn_learning_rate must be finite and > 0, "
+                              f"got {self.learning_rate}")
         if not 0 < self.init_std < math.inf:
             raise ConfigError("init_std must be finite and > 0")
 

@@ -45,7 +45,7 @@ from .em import (
     fit,
     fitting,
 )
-from .exceptions import ConfigError, NonFiniteError
+from .exceptions import ConfigError
 from .link import (
     Frame,
     ReceivedSequence,
@@ -513,26 +513,16 @@ def _write(path, write, mode="w") -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _write_csv(path, schema: str, header, rows) -> None:
+def _write_records(path, schema: str, records) -> None:
+    """Records (dicts with the same keys) as a CSV headed by the first
+    record's keys; a float is written %.17g, anything else as csv does."""
     def write(fh):
         fh.write(f"# schema: {schema}\n")
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(records[0])
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v
+                          for v in r.values()] for r in records)
     _write(path, write)
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_records(path, schema: str, records) -> None:
-    """Records (dicts with the same keys) as a CSV whose header is the
-    first record's keys; a float is written through _fmt, any other
-    value as csv writes it."""
-    _write_csv(path, schema, records[0],
-               ([_fmt(v) if isinstance(v, float) else v for v in r.values()]
-                for r in records))
 
 
 def save_trace_csv(path, trace) -> None:
@@ -546,21 +536,19 @@ def save_sequence_csv(path, frame: Frame, received: ReceivedSequence) -> None:
     """
     pilot = np.zeros(len(frame), dtype=int)
     pilot[frame.pilot_positions] = 1
-    rows = ([i, pilot[i], frame.symbols[i], _fmt(y.real), _fmt(y.imag),
-             _fmt(g.real), _fmt(g.imag)]
-            for i, (y, g) in enumerate(zip(received.samples,
-                                           received.true_gains)))
-    _write_csv(path, "received_sequence v1",
-               ["index", "pilot_flag", "true_symbol", "I", "Q", "gain_I",
-                "gain_Q"], rows)
+    y, g = received.samples, received.true_gains
+    _write_records(path, "received_sequence v1", [
+        {"index": i, "pilot_flag": p, "true_symbol": s, "I": yi, "Q": yq,
+         "gain_I": gi, "gain_Q": gq}
+        for i, (p, s, yi, yq, gi, gq) in enumerate(zip(
+            pilot.tolist(), frame.symbols.tolist(), y.real.tolist(),
+            y.imag.tolist(), g.real.tolist(), g.imag.tolist()))])
 
 
 def save_weights_csv(path, weights: np.ndarray) -> None:
-    k = weights.shape[1]
-    rows = [[i] + [_fmt(w) for w in weights[i]]
-            for i in range(weights.shape[0])]
-    _write_csv(path, "posterior_matrix v1",
-               ["index"] + [f"w{j}" for j in range(k)], rows)
+    keys = ["index"] + [f"w{j}" for j in range(weights.shape[1])]
+    _write_records(path, "posterior_matrix v1", [
+        dict(zip(keys, [i] + row)) for i, row in enumerate(weights.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +558,7 @@ def save_weights_csv(path, weights: np.ndarray) -> None:
 # what a cell that cannot be fitted raises; it is recorded as the cell's
 # status and the sweep goes on. Any other exception is a bug (or a broken
 # invariant, such as the ELBO dropping across an E-step) and aborts.
-_CELL_ERRORS = (ConfigError, NonFiniteError, FloatingPointError)
+_CELL_ERRORS = (ConfigError, FloatingPointError)
 
 
 def _decisions(config: ExperimentConfig, receiver: str, seeds, frames,
@@ -705,27 +693,26 @@ def run_learning_snapshots(config: ExperimentConfig):
             captured.append(("em", it, result.model))
     captured.append(("final", iterations, result.model))
 
-    manifest = [[0, "raw", 0, 0]]
+    manifest = [{"snapshot": 0, "phase": "raw", "step": 0, "curve_points": 0}]
     curve_rows = []
     for sid, (phase, step, model) in enumerate(captured, start=1):
         lo, hi = _pilot_lam_span(model, rx, frame)
         grid = np.linspace(lo, hi, CURVE_GRID_POINTS)
         curves = decode_curve(model, grid)
-        manifest.append([sid, phase, step, curves.shape[0] * len(grid)])
-        for k, curve in enumerate(curves):
-            for lam, (i, q) in zip(grid, curve):
-                curve_rows.append([sid, k, _fmt(lam), _fmt(i), _fmt(q)])
+        manifest.append({"snapshot": sid, "phase": phase, "step": step,
+                         "curve_points": curves.shape[0] * len(grid)})
+        curve_rows += [
+            {"snapshot": sid, "symbol": k, "lam": lam, "I": i, "Q": q}
+            for k, curve in enumerate(curves.tolist())
+            for lam, (i, q) in zip(grid.tolist(), curve)]
 
-    _write_csv(out_dir / "snapshot_manifest.csv", "snapshot_manifest v1",
-               ["snapshot", "phase", "step", "curve_points"], manifest)
-    _write_csv(out_dir / "snapshot_curves.csv", "snapshot_curves v1",
-               ["snapshot", "symbol", "lam", "I", "Q"], curve_rows)
-
-    decisions = demodulate(result.weights)
-    _write_csv(out_dir / "decisions.csv", "decisions v1",
-               ["index", "decision", "truth"],
-               [[i, int(decisions[i]), int(frame.symbols[i])]
-                for i in range(len(frame))])
+    _write_records(out_dir / "snapshot_manifest.csv", "snapshot_manifest v1",
+                   manifest)
+    _write_records(out_dir / "snapshot_curves.csv", "snapshot_curves v1",
+                   curve_rows)
+    _write_records(out_dir / "decisions.csv", "decisions v1", [
+        {"index": i, "decision": d, "truth": t} for i, (d, t) in enumerate(
+            zip(demodulate(result.weights).tolist(), frame.symbols.tolist()))])
     save_trace_csv(out_dir / "trace.csv", result.trace)
     save_weights_csv(out_dir / "weights.csv", result.weights)
     return result, frame, rx
@@ -760,25 +747,23 @@ def run_fading_estimation(config: ExperimentConfig):
     cells = [(snr, interval, 0) for snr in config.snr_db]
     results = _map_cells(config, gains, _fading_group, cells)
 
-    sample_rows = []
-    summaries = []
-    for cell in cells:
-        snr = cell[0]
-        true_gains, estimates = results[cell]
+    sample_rows, summaries = [], []
+    for snr in config.snr_db:
+        true_gains, estimates = results[(snr, interval, 0)]
         err = estimates - true_gains
         rmse = float(np.sqrt(np.mean(np.abs(err) ** 2)))
         summaries.append({"snr_db": snr, "rmse": rmse,
                           "samples": len(true_gains)})
-        for i in range(len(true_gains)):
-            sample_rows.append([
-                _fmt(snr), i,
-                _fmt(true_gains[i].real), _fmt(true_gains[i].imag),
-                _fmt(estimates[i].real), _fmt(estimates[i].imag),
-                _fmt(abs(err[i]))])
+        sample_rows += [
+            {"snr_db": float(snr), "index": i, "true_I": ti, "true_Q": tq,
+             "est_I": ei, "est_Q": eq, "abs_error": e}
+            for i, (ti, tq, ei, eq, e) in enumerate(zip(
+                true_gains.real.tolist(), true_gains.imag.tolist(),
+                estimates.real.tolist(), estimates.imag.tolist(),
+                # abs per complex: np.abs of the array can differ in the ulp
+                map(abs, err.tolist())))]
 
-    _write_csv(out_dir / "fading.csv", "fading v1",
-               ["snr_db", "index", "true_I", "true_Q", "est_I", "est_Q",
-                "abs_error"], sample_rows)
+    _write_records(out_dir / "fading.csv", "fading v1", sample_rows)
     _write_records(out_dir / "fading_summary.csv", "fading_summary v1",
                    summaries)
     return summaries

@@ -36,7 +36,7 @@ from .bench import (
 from .em import demodulate, e_step, elbo, fit, pilot_weights
 from .exceptions import ConfigError
 from .link import build_constellation, build_frame, snr_to_noise_variance, transmit
-from .net import collect_params, init_model, loss_and_gradients, with_params
+from .net import init_model, loss_and_gradients
 from .physics import (
     attenuation_phase_coefficients,
     propagation_vector,
@@ -169,14 +169,15 @@ def _selftest_checks():
         w = rng.uniform(0.1, 1.0, size=(32, 4))
         w /= w.sum(axis=1, keepdims=True)
         _, grads = loss_and_gradients(model, y, w)
-        params = collect_params(model)
+        params = model.params
         idx = rng.choice(grads.size, size=10, replace=False)
         h = 1e-5  # larger step: FD roundoff must stay below the 1e-6 floor
         for i in idx:
             def shifted(delta):
                 moved = params.copy()
                 moved[i] += delta
-                loss, _ = loss_and_gradients(with_params(model, moved), y, w)
+                loss, _ = loss_and_gradients(replace(model, params=moved),
+                                             y, w)
                 return loss
             fd = (shifted(h) - shifted(-h)) / (2 * h)
             denom = max(abs(fd), abs(grads[i]), 1e-6)

@@ -93,8 +93,10 @@ class EmSchedule:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        if min(self.pretrain_steps, self.em_iterations, self.mstep_steps) < 0:
-            raise ConfigError("schedule step counts must be >= 0")
+        for name in ("pretrain_steps", "em_iterations", "mstep_steps"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError("learning_rate must be finite and > 0")
 

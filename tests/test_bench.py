@@ -490,6 +490,21 @@ class TestFadingEstimation:
         assert rmse == pytest.approx(summaries[0]["rmse"], rel=1e-12)
 
 
+def assert_bad_key_names_it(tmp_path, capsys, key, value):
+    """`key = value` in a config file exits 2 with one line naming key,
+    before the output directory is made."""
+    (tmp_path / "run.txt").write_text(f"frame_length = 512\n"
+                                      f"{key} = {value}\n")
+    out = tmp_path / "out"
+    code = main(["ser-sweep", "--config", str(tmp_path / "run.txt"),
+                 "--outdir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert key in err
+    assert not out.exists()
+
+
 # a valid text for every run flag
 FLAG_TEXTS = {"--seed": "7", "--outdir": "runs/a b", "--snr": "0, 4",
               "--intervals": "16,256", "--trials": "3",
@@ -799,16 +814,15 @@ class TestCli:
         ("symbol_rate_hz", "0")])
     def test_bad_channel_field_names_its_key(self, tmp_path, capsys, key,
                                              value):
-        (tmp_path / "run.txt").write_text(f"frame_length = 512\n"
-                                          f"{key} = {value}\n")
-        out = tmp_path / "out"
-        code = main(["ser-sweep", "--config", str(tmp_path / "run.txt"),
-                     "--outdir", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert key in err
-        assert not out.exists()
+        assert_bad_key_names_it(tmp_path, capsys, key, value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("pretrain_steps", "-1"), ("em_iterations", "-1"),
+        ("mstep_steps", "-1"), ("dnn_steps", "-3"), ("dnn_hidden", "0"),
+        ("dnn_learning_rate", "0")])
+    def test_bad_training_field_names_its_key(self, tmp_path, capsys, key,
+                                              value):
+        assert_bad_key_names_it(tmp_path, capsys, key, value)
 
     @DUPLICATE_KEYS
     def test_duplicate_key_exit_two(self, tmp_path, capsys, text, field):

@@ -1,15 +1,27 @@
-"""Every ```python block of README.md runs as written."""
+"""Every ```python block of README.md runs as written, and its "CSV
+schemas" table gives the schema line and header row of every artifact."""
 
+import csv
 import re
 from pathlib import Path
 
 import pytest
+
+from plasmalink.bench import (
+    ExperimentConfig,
+    run_fading_estimation,
+    run_learning_snapshots,
+    run_ser_sweep,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text(encoding="utf-8")
 # (line of the opening fence, code) of every python block
 BLOCKS = [(TEXT.count("\n", 0, m.start()) + 1, m.group(1)) for m in
           re.finditer(r"^```python\n(.*?)^```", TEXT, re.S | re.M)]
+# (file, schema, columns) of every row of the CSV schemas table
+SCHEMAS = re.findall(r"^\| `(\w+\.csv)` \| `([^`]+)` \| (.+) \|$", TEXT,
+                     re.M)
 
 
 def test_readme_has_python_blocks():
@@ -22,3 +34,32 @@ def test_python_block_runs(line, code):
     # compiled under the README's name, offset so a traceback names the
     # README line
     exec(compile("\n" * line + code, str(README), "exec"), {})
+
+
+@pytest.fixture(scope="module")
+def studies(tmp_path_factory):
+    """Every study run once on a short 8-PSK config into one directory."""
+    config = ExperimentConfig(
+        bits_per_symbol=3, frame_length=256, pilot_intervals=(16,),
+        snr_db=(14.0,), pretrain_steps=20, em_iterations=1, mstep_steps=5,
+        trials=1, receivers=("genie_ml",), snr_reference="received",
+        standard_drude_loss=True,
+        out_dir=str(tmp_path_factory.mktemp("studies")))
+    for run in (run_ser_sweep, run_learning_snapshots, run_fading_estimation):
+        run(config)
+    return config
+
+
+def test_schema_table_lists_every_artifact(studies):
+    written = sorted(p.name for p in Path(studies.out_dir).glob("*.csv"))
+    assert sorted(name for name, _, _ in SCHEMAS) == written
+
+
+@pytest.mark.parametrize("name, schema, columns", SCHEMAS,
+                         ids=[name for name, _, _ in SCHEMAS])
+def test_csv_matches_schema_table(studies, name, schema, columns):
+    weights = ", ".join(f"w{j}" for j in range(2 ** studies.bits_per_symbol))
+    header = columns.replace("w0..w{K-1}", weights).split(", ")
+    with (Path(studies.out_dir) / name).open(newline="") as fh:
+        assert fh.readline() == f"# schema: {schema}\n"
+        assert next(csv.reader(fh)) == header
