@@ -118,17 +118,17 @@ class ExperimentConfig:
     snr_db: tuple = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0)
     snr_reference: str = "transmit"  # or "received": mean received energy
     snr_is_ebn0: bool = False        # relabel: Es/N0 = value + 10log10(bits)
-    # curve model training
-    pretrain_steps: int = 2000
-    em_iterations: int = 10
-    mstep_steps: int = 100
-    learning_rate: float = 1e-3
-    init_std: float = 0.1
-    hidden_units: int = 4
+    # curve model training (EmSchedule); init_std seeds the DNN's too
+    pretrain_steps: int = EmSchedule.pretrain_steps
+    em_iterations: int = EmSchedule.em_iterations
+    mstep_steps: int = EmSchedule.mstep_steps
+    learning_rate: float = EmSchedule.learning_rate
+    init_std: float = EmSchedule.init_std
+    hidden_units: int = EmSchedule.hidden_units
     # supervised classifier baseline
-    dnn_hidden: int = 16
-    dnn_steps: int = 2000
-    dnn_learning_rate: float = 1e-3
+    dnn_hidden: int = DnnTrainConfig.hidden_units
+    dnn_steps: int = DnnTrainConfig.steps
+    dnn_learning_rate: float = DnnTrainConfig.learning_rate
     # harness
     receivers: tuple = RECEIVER_NAMES
     trials: int = 10
@@ -167,8 +167,6 @@ class ExperimentConfig:
         if bad:
             raise ConfigError(f"pilot intervals {bad} outside "
                               f"2..frame_length ({self.frame_length})")
-        if self.hidden_units < 1:
-            raise ConfigError("hidden_units must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # built only so that their own field checks run now
@@ -178,10 +176,9 @@ class ExperimentConfig:
         self.dnn_config()
 
     def schedule(self) -> EmSchedule:
-        return EmSchedule(pretrain_steps=self.pretrain_steps,
-                          em_iterations=self.em_iterations,
-                          mstep_steps=self.mstep_steps,
-                          learning_rate=self.learning_rate)
+        """The SMN's settings: each EmSchedule field is a config key."""
+        return EmSchedule(**{f.name: getattr(self, f.name)
+                             for f in fields(EmSchedule)})
 
     def dnn_config(self) -> DnnTrainConfig:
         return DnnTrainConfig(hidden_units=self.dnn_hidden,
@@ -571,8 +568,7 @@ def _decisions(config: ExperimentConfig, receiver: str, seeds, frames,
     try:
         if receiver == "smn":
             return [demodulate(r.weights) for r in fit(
-                received, frames, const, config.schedule(), rng_seed=seeds,
-                hidden_units=config.hidden_units, init_std=config.init_std)]
+                received, frames, const, config.schedule(), rng_seed=seeds)]
         if receiver == "supervised_dnn":
             return [r.decisions for r in supervised_dnn(
                 received, frames, const, rng_seed=seeds,
@@ -678,8 +674,7 @@ def run_learning_snapshots(config: ExperimentConfig):
     steps, iterations = schedule.pretrain_steps, schedule.em_iterations
     early = max(1, steps // 8)
 
-    run = partial(fitting, (rx,), (frame,), const, rng_seed=(seed,),
-                  hidden_units=config.hidden_units, init_std=config.init_std)
+    run = partial(fitting, (rx,), (frame,), const, rng_seed=(seed,))
     # (phase, step, model) of each curve snapshot; Adam and EM read only
     # past steps, so a run's pretraining state is that step of a longer one
     captured = []
@@ -728,8 +723,7 @@ def _fading_group(config: ExperimentConfig, gains: np.ndarray, group) -> list:
     const = build_constellation(config.bits_per_symbol)
     seeds, frames, received = zip(*(simulate_cell(config, gains, *cell)
                                     for cell in group))
-    fits = fit(received, frames, const, config.schedule(), rng_seed=seeds,
-               hidden_units=config.hidden_units, init_std=config.init_std)
+    fits = fit(received, frames, const, config.schedule(), rng_seed=seeds)
     return [(rx.true_gains, extract_fading_curve(
                 result.model, rx, result.weights, frame=frame).estimates)
             for result, frame, rx in zip(fits, frames, received)]
@@ -750,8 +744,8 @@ def run_fading_estimation(config: ExperimentConfig):
     sample_rows, summaries = [], []
     for snr in config.snr_db:
         true_gains, estimates = results[(snr, interval, 0)]
-        err = estimates - true_gains
-        rmse = float(np.sqrt(np.mean(np.abs(err) ** 2)))
+        abs_error = np.abs(estimates - true_gains)
+        rmse = float(np.sqrt(np.mean(abs_error ** 2)))
         summaries.append({"snr_db": snr, "rmse": rmse,
                           "samples": len(true_gains)})
         sample_rows += [
@@ -760,8 +754,7 @@ def run_fading_estimation(config: ExperimentConfig):
             for i, (ti, tq, ei, eq, e) in enumerate(zip(
                 true_gains.real.tolist(), true_gains.imag.tolist(),
                 estimates.real.tolist(), estimates.imag.tolist(),
-                # abs per complex: np.abs of the array can differ in the ulp
-                map(abs, err.tolist())))]
+                abs_error.tolist()))]
 
     _write_records(out_dir / "fading.csv", "fading v1", sample_rows)
     _write_records(out_dir / "fading_summary.csv", "fading_summary v1",

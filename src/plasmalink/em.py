@@ -85,20 +85,26 @@ CURVE_GRID_POINTS = 201
 
 @dataclass(frozen=True)
 class EmSchedule:
-    """Training step counts and optimizer settings."""
+    """The SMN's settings: step counts, learning rate, net.init_model's width
+    and init scale. An error names the field (its config key) and value."""
 
     pretrain_steps: int = 2000
     em_iterations: int = 10
     mstep_steps: int = 100
     learning_rate: float = 1e-3
+    hidden_units: int = 4
+    init_std: float = 0.1
 
     def __post_init__(self):
-        for name in ("pretrain_steps", "em_iterations", "mstep_steps"):
+        for name, low in (("pretrain_steps", 0), ("em_iterations", 0),
+                          ("mstep_steps", 0), ("hidden_units", 1)):
             value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError("learning_rate must be finite and > 0")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
+        for name in ("learning_rate", "init_std"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 
 # TraceRecord's float fields: each is checked finite, and summed in a group
@@ -347,8 +353,7 @@ def elbo(model: SmnModel, received: ReceivedSequence, w: np.ndarray) -> float:
 
 
 def fitting(received, frames, constellation: Constellation,
-            schedule: EmSchedule, rng_seed, hidden_units: int = 4,
-            init_std: float = 0.1):
+            schedule: EmSchedule, rng_seed):
     """Pilot pretraining, then EM over the whole frame, a state at a time.
 
     Takes a group of cells that share frame length and pilots (sequences
@@ -359,21 +364,29 @@ def fitting(received, frames, constellation: Constellation,
     lockstep: its C x K encoders run as one stack and its C decoders as
     another, and each cell's numbers are those of fitting it alone.
 
+    State i >= 1 pairs the model after M-step i with the posterior that
+    M-step was trained on, the E-step of model i - 1, so EM iteration 1's
+    E-step repeats pretraining's: state 1's posterior and trace row 1's two
+    bounds equal state 0's posterior and elbo_after_e. What changed since
+    the last iteration reads 0 at iteration 1; at most E - 1 of E EM
+    iterations can raise the bound.
+
     The initial noise variance is the pilot residual after pretraining (the
-    only data-driven estimate available before the first E-step). Two
-    Batches serve the fit: the pilot rows (pretraining and that residual)
-    and the frame rows, whose weights each E-step replaces; every posterior,
-    bound and loss of a curve state reads one distances call. The work
-    between states, never the caller's, raises FloatingPointError on a NumPy
-    overflow or invalid value. Raises RuntimeError if the lower bound of any
-    cell ever drops across an E-step beyond a 1e-9 tolerance; that invariant
-    holds analytically, so a violation is a bug, not a tuning issue.
+    only data-driven estimate before the first E-step), raised to the floor
+    with a warning like every later one. Two Batches serve the fit: the
+    pilot rows (pretraining and that residual) and the frame rows, whose
+    weights each E-step replaces; every posterior, bound and loss of a
+    curve state reads one distances call. The work between states, never
+    the caller's, raises FloatingPointError on a NumPy overflow or invalid
+    value. Raises RuntimeError if the lower bound of any cell ever drops
+    across an E-step beyond a 1e-9 tolerance; that invariant holds
+    analytically, so a violation is a bug, not a tuning issue.
     """
     # an errstate cannot be entered twice, so each stretch opens its own
     with np.errstate(over="raise", invalid="raise"):
         pilots = _shared_pilots(frames)
-        models = [init_model(constellation, seed, hidden_units, init_std)
-                  for seed in rng_seed]
+        models = [init_model(constellation, seed, schedule.hidden_units,
+                             schedule.init_std) for seed in rng_seed]
         model = replace(models[0],
                         params=np.stack([m.params for m in models]),
                         noise_variance=np.ones(len(models)))
@@ -382,8 +395,8 @@ def fitting(received, frames, constellation: Constellation,
         model = pretrain(model, received, frames, schedule,
                          pilots=pilot_batch)
         pilot_resid = weighted_loss(model, pilot_batch)
-        model = replace(model, noise_variance=np.maximum(
-            pilot_resid, NOISE_VARIANCE_FLOOR))
+        model = replace(model, noise_variance=_clamped(
+            pilot_resid, "pilot residual %.3g clamped to %.1g"))
         batch = Batch(model, y)
         d2 = distances(model, batch)
         w = _posterior(model, d2, pilots)
@@ -420,17 +433,15 @@ def fitting(received, frames, constellation: Constellation,
 
 
 def fit(received, frame, constellation: Constellation,
-        schedule: EmSchedule = EmSchedule(), rng_seed=0,
-        hidden_units: int = 4, init_std: float = 0.1):
+        schedule: EmSchedule = EmSchedule(), rng_seed=0):
     """The state of fitting at schedule.em_iterations: a GroupFit, or for
     one cell (a ReceivedSequence, its Frame and an int seed) its
     FitResult. A caller that reads states on the way drives fitting."""
     if isinstance(received, ReceivedSequence):
         return fit((received,), (frame,), constellation, schedule,
-                   (rng_seed,), hidden_units, init_std)[0]
+                   (rng_seed,))[0]
     return next(islice(fitting(received, frame, constellation, schedule,
-                               rng_seed, hidden_units, init_std),
-                       schedule.em_iterations, None))
+                               rng_seed), schedule.em_iterations, None))
 
 
 def demodulate(w: np.ndarray) -> np.ndarray:

@@ -169,14 +169,10 @@ def attenuation_phase_coefficients(n_e, params: ChannelParams):
     where ``re`` and ``im`` are the real part and (magnitude of the)
     imaginary part of the dielectric coefficient.
     """
-    n_e = np.asarray(n_e, dtype=float)
-    wp2 = plasma_frequency(n_e) ** 2
-    omega = params.carrier_angular_freq
-    x = wp2 / (omega**2 + params.collision_angular_freq**2)
-    re = 1.0 - x
-    im = _loss_factor(params) * x
+    eps = np.asarray(dielectric_coefficient(n_e, params))
+    re, im = eps.real, -eps.imag
     mag = np.hypot(re, im)
-    scale = omega / (math.sqrt(2.0) * CODATA.light_speed)
+    scale = params.carrier_angular_freq / (math.sqrt(2.0) * CODATA.light_speed)
     # Clip: mag - re and mag + re are >= 0 analytically; rounding can dip below.
     alpha = scale * np.sqrt(np.maximum(mag - re, 0.0))
     beta = scale * np.sqrt(np.maximum(mag + re, 0.0))

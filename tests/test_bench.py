@@ -27,10 +27,13 @@ from plasmalink.bench import (
     run_fading_estimation,
     run_learning_snapshots,
     run_ser_sweep,
+    simulate_cell,
 )
 from plasmalink.cli import _RUN_FLAGS, _resolve_config, build_parser, main
-from plasmalink.em import demodulate
+from plasmalink.em import demodulate, fit
 from plasmalink.exceptions import ConfigError
+from plasmalink.link import build_constellation
+from plasmalink.net import init_model
 
 
 # a field given twice, and its name: by its own key, then in another
@@ -174,6 +177,19 @@ class TestConfigFormat:
             ExperimentConfig(receivers=("smn", "zf"))
         with pytest.raises(ConfigError, match=">= 1"):
             ExperimentConfig(trials=0)
+
+    def test_schedule_carries_the_smn_settings(self):
+        # a zero-step fit keeps the model net.init_model draws at the
+        # config's width and init scale
+        config = ExperimentConfig(hidden_units=7, init_std=0.3,
+                                  pretrain_steps=0, em_iterations=0)
+        const = build_constellation(config.bits_per_symbol)
+        _, gains = build_channel(config)
+        seed, frame, rx = simulate_cell(config, gains, 0.0, 256, 0)
+        result = fit(rx, frame, const, config.schedule(), rng_seed=seed)
+        assert result.model.encoder_widths == (2, 7, 1)
+        np.testing.assert_array_equal(result.model.params,
+                                      init_model(const, seed, 7, 0.3).params)
 
     def test_missing_file_message_names_path(self, tmp_path):
         with pytest.raises(ConfigError, match="nowhere.txt"):
@@ -484,10 +500,13 @@ class TestFadingEstimation:
         lines = (tmp_path / "fading.csv").read_text().splitlines()
         assert lines[0] == "# schema: fading v1"
         assert len(lines) == 2 + 2 * 512
-        # RMSE in the summary file matches the per-sample rows
-        errs = [float(line.split(",")[6]) for line in lines[2:2 + 512]]
-        rmse = float(np.sqrt(np.mean(np.square(errs))))
-        assert rmse == pytest.approx(summaries[0]["rmse"], rel=1e-12)
+        # each SNR's RMSE is that of its per-sample rows' abs_error, exactly
+        rows = list(csv.DictReader(lines[1:]))
+        for s in summaries:
+            errs = np.array([float(r["abs_error"]) for r in rows
+                             if float(r["snr_db"]) == s["snr_db"]])
+            assert len(errs) == 512
+            assert float(np.sqrt(np.mean(errs ** 2))) == s["rmse"]
 
 
 def assert_bad_key_names_it(tmp_path, capsys, key, value):
@@ -819,7 +838,8 @@ class TestCli:
     @pytest.mark.parametrize("key, value", [
         ("pretrain_steps", "-1"), ("em_iterations", "-1"),
         ("mstep_steps", "-1"), ("dnn_steps", "-3"), ("dnn_hidden", "0"),
-        ("dnn_learning_rate", "0")])
+        ("dnn_learning_rate", "0"), ("hidden_units", "0"),
+        ("init_std", "0")])
     def test_bad_training_field_names_its_key(self, tmp_path, capsys, key,
                                               value):
         assert_bad_key_names_it(tmp_path, capsys, key, value)

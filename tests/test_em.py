@@ -3,6 +3,7 @@
 import logging
 import tracemalloc
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from plasmalink.em import (
     elbo,
     extract_fading_curve,
     fit,
+    fitting,
     m_step,
     pilot_weights,
     pretrain,
@@ -250,6 +252,34 @@ class TestFit:
         assert len(result.trace) == 1
         assert result.trace[0].phase == "pretrain"
 
+    def test_first_em_state_repeats_the_pretraining_e_step(self):
+        # state 1 pairs the first M-step's model with the posterior it was
+        # trained on, which is the E-step of the pretrained model
+        const, frame, rx = static_run(0.7 + 0.1j, snr_db=8.0, seed=57)
+        schedule = EmSchedule(pretrain_steps=100, mstep_steps=20)
+        (zero,), (one,) = islice(fitting((rx,), (frame,), const, schedule,
+                                         (57,)), 2)
+        np.testing.assert_array_equal(one.weights, zero.weights)
+        start = zero.trace[0].elbo_after_e
+        assert one.trace[1].elbo_before_e == start
+        assert one.trace[1].elbo_after_e == start
+
+    def test_initial_variance_clamp_is_logged(self, caplog, monkeypatch):
+        # a floor above every pilot residual clamps each cell's first
+        # variance, and each clamp logs
+        cells = [static_run(0.8, snr_db=10.0, seed=s) for s in (61, 61)]
+        const = cells[0][0]
+        frames = tuple(frame for _, frame, _ in cells)
+        received = tuple(rx for _, _, rx in cells)
+        monkeypatch.setattr(em_module, "NOISE_VARIANCE_FLOOR", 1.0)
+        with caplog.at_level(logging.WARNING, logger="plasmalink.em"):
+            (first, second) = next(fitting(
+                received, frames, const, EmSchedule(pretrain_steps=20),
+                (61, 62)))
+        assert len(caplog.records) == 2
+        assert all("pilot residual" in r.message for r in caplog.records)
+        assert first.model.noise_variance == second.model.noise_variance == 1.0
+
     def test_fit_leaves_no_buffers_behind(self):
         # the pass buffers belong to the fit's Batches and go with them;
         # the traced fit takes a width no other test fits, so no buffers
@@ -262,8 +292,8 @@ class TestFit:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            result = fit(rx, frame, const, schedule, rng_seed=58,
-                         hidden_units=7)
+            result = fit(rx, frame, const,
+                         replace(schedule, hidden_units=7), rng_seed=58)
             del result
             after = tracemalloc.get_traced_memory()[0]
         finally:
