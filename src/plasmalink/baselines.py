@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .em import pilot_weights
+from .exceptions import ConfigError, check_fields
 from .link import Constellation, Frame, ReceivedSequence
 from .net import (
     adam_step,
@@ -85,25 +86,16 @@ def pilot_interp_ml(received: ReceivedSequence, frame: Frame,
 
 @dataclass(frozen=True)
 class DnnTrainConfig:
-    """Training settings of supervised_dnn. An error names a field by its
-    ExperimentConfig key (dnn_hidden, dnn_steps, dnn_learning_rate)."""
+    """Training settings of supervised_dnn, each named by its config key."""
 
-    hidden_units: int = 16
-    steps: int = 2000
-    learning_rate: float = 1e-3
+    dnn_hidden: int = 16
+    dnn_steps: int = 2000
+    dnn_learning_rate: float = 1e-3
     init_std: float = 0.1
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ConfigError(f"dnn_steps must be >= 0, got {self.steps}")
-        if self.hidden_units < 1:
-            raise ConfigError(f"dnn_hidden must be >= 1, "
-                              f"got {self.hidden_units}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError(f"dnn_learning_rate must be finite and > 0, "
-                              f"got {self.learning_rate}")
-        if not 0 < self.init_std < math.inf:
-            raise ConfigError("init_std must be finite and > 0")
+        check_fields(self, at_least=(("dnn_steps", 0), ("dnn_hidden", 1)),
+                     positive=("dnn_learning_rate", "init_std"))
 
 
 def _softmax(z):
@@ -132,7 +124,7 @@ def supervised_dnn(received, frame, constellation: Constellation, rng_seed,
         return supervised_dnn((received,), (frame,), constellation,
                               (rng_seed,), config)[0]
     k = constellation.order
-    widths = (2, config.hidden_units, config.hidden_units, k)
+    widths = (2, config.dnn_hidden, config.dnn_hidden, k)
     # drawn in flat order and laid out in the kernel's, as init_model does
     params = mlp_order(widths, config.init_std * np.stack(
         [role_rng(seed, "dnn").standard_normal(param_count(widths))
@@ -142,9 +134,7 @@ def supervised_dnn(received, frame, constellation: Constellation, rng_seed,
     x_train = mlp_input(np.stack([rx.iq()[f.pilot_positions].T
                                   for rx, f in zip(received, frame)]))
     n = x_train.shape[-1]
-    onehot = np.zeros((len(received), k, n))
-    for hot, f in zip(onehot, frame):
-        hot[f.symbols[f.pilot_positions], np.arange(n)] = 1.0
+    onehot = np.stack([pilot_weights(f, k).T for f in frame])
 
     state = init_adam(params)
     grads = np.empty_like(params)
@@ -153,13 +143,13 @@ def supervised_dnn(received, frame, constellation: Constellation, rng_seed,
     layers = mlp_layers(widths, params)
     grad_layers = mlp_layers(widths, grads)
     acts = mlp_activations(layers, x_train)
-    for _ in range(config.steps):
+    for _ in range(config.dnn_steps):
         logits, cache = mlp_forward(layers, x_train, acts)
         # mean cross-entropy gradient
         g_logits = (_softmax(logits) - onehot) / n
         mlp_backward(layers, cache, g_logits, grad_layers, input_grad=False)
         new_params, state = adam_step(params, grads, state,
-                                      learning_rate=config.learning_rate)
+                                      learning_rate=config.dnn_learning_rate)
         np.copyto(params, new_params)
 
     # the frame's logits a cell at a time, which bounds the peak memory

@@ -45,7 +45,7 @@ from .em import (
     fit,
     fitting,
 )
-from .exceptions import ConfigError
+from .exceptions import ConfigError, check_fields
 from .link import (
     Frame,
     ReceivedSequence,
@@ -126,9 +126,9 @@ class ExperimentConfig:
     init_std: float = EmSchedule.init_std
     hidden_units: int = EmSchedule.hidden_units
     # supervised classifier baseline
-    dnn_hidden: int = DnnTrainConfig.hidden_units
-    dnn_steps: int = DnnTrainConfig.steps
-    dnn_learning_rate: float = DnnTrainConfig.learning_rate
+    dnn_hidden: int = DnnTrainConfig.dnn_hidden
+    dnn_steps: int = DnnTrainConfig.dnn_steps
+    dnn_learning_rate: float = DnnTrainConfig.dnn_learning_rate
     # harness
     receivers: tuple = RECEIVER_NAMES
     trials: int = 10
@@ -144,8 +144,8 @@ class ExperimentConfig:
         unknown = set(self.receivers) - set(RECEIVER_NAMES)
         if unknown:
             raise ConfigError(f"unknown receivers {sorted(unknown)}")
-        if self.trials < 1 or self.workers < 1:
-            raise ConfigError("trials and workers must be >= 1")
+        check_fields(self, at_least=(("trials", 1), ("workers", 1),
+                                     ("seed", 0)))
         for name in ("receivers", "snr_db", "pilot_intervals"):
             values = getattr(self, name)
             if not values:
@@ -167,24 +167,21 @@ class ExperimentConfig:
         if bad:
             raise ConfigError(f"pilot intervals {bad} outside "
                               f"2..frame_length ({self.frame_length})")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # built only so that their own field checks run now
         DensityTrajectory(profile_kind=self.profile)
         build_constellation(self.bits_per_symbol)
         self.schedule()
         self.dnn_config()
 
+    def _settings(self, kind):
+        """The settings object ``kind`` whose every field is a config key."""
+        return kind(**{f.name: getattr(self, f.name) for f in fields(kind)})
+
     def schedule(self) -> EmSchedule:
-        """The SMN's settings: each EmSchedule field is a config key."""
-        return EmSchedule(**{f.name: getattr(self, f.name)
-                             for f in fields(EmSchedule)})
+        return self._settings(EmSchedule)
 
     def dnn_config(self) -> DnnTrainConfig:
-        return DnnTrainConfig(hidden_units=self.dnn_hidden,
-                              steps=self.dnn_steps,
-                              learning_rate=self.dnn_learning_rate,
-                              init_std=self.init_std)
+        return self._settings(DnnTrainConfig)
 
     def resolve_out_dir(self) -> Path:
         out = self.out_dir or os.environ.get("PLASMALINK_OUTDIR", ".")
@@ -735,6 +732,9 @@ def run_fading_estimation(config: ExperimentConfig):
     Uses the first pilot interval; writes fading.csv (per-sample traces)
     and fading_summary.csv (per-SNR RMSE) plus the archived config. The
     SNR cells run in lockstep groups, through the pool as the sweep's do.
+    fit returns state E of em.fitting, so a sample's decided symbol comes
+    from model E-1's E-step, while its gain estimate (est_I, est_Q and so
+    abs_error) is read through model E's encoder and decoder.
     """
     gains, out_dir = _open_study(config, ["fading.csv", "fading_summary.csv"])
     interval = config.pilot_intervals[0]
@@ -744,7 +744,8 @@ def run_fading_estimation(config: ExperimentConfig):
     sample_rows, summaries = [], []
     for snr in config.snr_db:
         true_gains, estimates = results[(snr, interval, 0)]
-        abs_error = np.abs(estimates - true_gains)
+        err = estimates - true_gains
+        abs_error = np.hypot(err.real, err.imag)
         rmse = float(np.sqrt(np.mean(abs_error ** 2)))
         summaries.append({"snr_db": snr, "rmse": rmse,
                           "samples": len(true_gains)})

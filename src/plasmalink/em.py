@@ -32,7 +32,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, check_fields
 from .link import Constellation, Frame, ReceivedSequence
 # collect_params, with_params and project_all are no longer called here;
 # they stay importable from this module because the benchmark's tracer
@@ -96,15 +96,9 @@ class EmSchedule:
     init_std: float = 0.1
 
     def __post_init__(self):
-        for name, low in (("pretrain_steps", 0), ("em_iterations", 0),
-                          ("mstep_steps", 0), ("hidden_units", 1)):
-            value = getattr(self, name)
-            if value < low:
-                raise ConfigError(f"{name} must be >= {low}, got {value}")
-        for name in ("learning_rate", "init_std"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        check_fields(self, at_least=(
+            ("pretrain_steps", 0), ("em_iterations", 0), ("mstep_steps", 0),
+            ("hidden_units", 1)), positive=("learning_rate", "init_std"))
 
 
 # TraceRecord's float fields: each is checked finite, and summed in a group

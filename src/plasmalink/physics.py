@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, check_fields
 
 __all__ = [
     "CODATA",
@@ -92,8 +92,7 @@ class ChannelParams:
             raise ConfigError("carrier_angular_freq must be finite and > 0")
         if not 0 <= self.collision_angular_freq < math.inf:
             raise ConfigError("collision_angular_freq must be finite and >= 0")
-        if not 0 < self.sheath_thickness < math.inf:
-            raise ConfigError("sheath_thickness must be finite and > 0")
+        check_fields(self, positive=("sheath_thickness",))
         n_min, n_max = self.density_range
         if not 0 < n_min <= n_max < math.inf:
             raise ConfigError("density_range must satisfy 0 < n_min <= n_max < inf")
@@ -119,10 +118,8 @@ class DensityTrajectory:
     def __post_init__(self):
         if self.profile_kind not in ("sinusoid", "linear_sweep", "constant"):
             raise ConfigError(f"unknown density profile {self.profile_kind!r}")
-        if self.length < 1:
-            raise ConfigError("trajectory length must be >= 1")
-        if not 0 < self.symbol_rate < math.inf:
-            raise ConfigError("symbol_rate must be finite and > 0")
+        check_fields(self, at_least=(("length", 1),),
+                     positive=("symbol_rate",))
         if not np.all(np.isfinite([self.oscillation_freq, self.phase_offset])):
             raise ConfigError("oscillation_freq and phase_offset must be finite")
 

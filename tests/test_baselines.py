@@ -143,7 +143,7 @@ class TestSupervisedDnn:
 
     def test_config_controls_capacity(self):
         const, frame, rx = static_run(0.9, m=64, interval=4)
-        tiny = DnnTrainConfig(hidden_units=2, steps=10)
+        tiny = DnnTrainConfig(dnn_hidden=2, dnn_steps=10)
         result = supervised_dnn(rx, frame, const, rng_seed=1, config=tiny)
         assert result.decisions.shape == (64,)
         assert result.decisions.dtype.kind == "i"
@@ -159,19 +159,22 @@ class TestSupervisedDnn:
             monkeypatch.setattr(baselines, "mlp_layers",
                                 lambda *a: calls.append(1) or real(*a))
             supervised_dnn(rx, frame, const, rng_seed=1,
-                           config=DnnTrainConfig(steps=steps))
+                           config=DnnTrainConfig(dnn_steps=steps))
             monkeypatch.undo()
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
     @pytest.mark.parametrize("field, value", [
-        ("steps", -1), ("hidden_units", 0), ("learning_rate", 0.0),
-        ("learning_rate", float("nan")), ("init_std", -1.0),
+        ("dnn_steps", -1), ("dnn_hidden", 0), ("dnn_learning_rate", 0.0),
+        ("dnn_learning_rate", float("nan")), ("init_std", -1.0),
         ("init_std", float("inf")),
     ])
     def test_config_rejects_bad_values(self, field, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as caught:
             DnnTrainConfig(**{field: value})
+        message = str(caught.value)
+        assert message.startswith(f"{field} must be "), message
+        assert message.endswith(f", got {value}"), message
 
 
 class TestQpskTheory:

@@ -175,7 +175,7 @@ class TestConfigFormat:
             ExperimentConfig(snr_reference="antenna")
         with pytest.raises(ConfigError, match="receivers"):
             ExperimentConfig(receivers=("smn", "zf"))
-        with pytest.raises(ConfigError, match=">= 1"):
+        with pytest.raises(ConfigError, match="^trials must be >= 1, got 0$"):
             ExperimentConfig(trials=0)
 
     def test_schedule_carries_the_smn_settings(self):
@@ -507,20 +507,33 @@ class TestFadingEstimation:
                              if float(r["snr_db"]) == s["snr_db"]])
             assert len(errs) == 512
             assert float(np.sqrt(np.mean(errs ** 2))) == s["rmse"]
+        # and each row's abs_error is the magnitude of its own columns'
+        # error, as Python's abs rounds it
+        for r in rows:
+            err = complex(float(r["est_I"]) - float(r["true_I"]),
+                          float(r["est_Q"]) - float(r["true_Q"]))
+            assert float(r["abs_error"]) == abs(err), r
 
 
-def assert_bad_key_names_it(tmp_path, capsys, key, value):
-    """`key = value` in a config file exits 2 with one line naming key,
-    before the output directory is made."""
+def bad_keys(*cases):
+    """Parametrize (key, value, message) cases, each with the id
+    key-value."""
+    return pytest.mark.parametrize("key, value, message", cases,
+                                   ids=[f"{k}-{v}" for k, v, _ in cases])
+
+
+def assert_bad_key_names_it(tmp_path, capsys, key, value, message):
+    """`key = value` in a config file exits 2 with the one line
+    `error: <message>`, which names key, before the output directory is
+    made."""
     (tmp_path / "run.txt").write_text(f"frame_length = 512\n"
                                       f"{key} = {value}\n")
     out = tmp_path / "out"
     code = main(["ser-sweep", "--config", str(tmp_path / "run.txt"),
                  "--outdir", str(out)])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert key in err
+    assert key in message
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -826,23 +839,55 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "ser_sweep.csv").exists()
 
-    @pytest.mark.parametrize("key, value", [
-        ("carrier_freq_hz", "nan"), ("collision_freq_hz", "-1"),
-        ("sheath_thickness_m", "-1"), ("n_e_min", "0"), ("n_e_max", "inf"),
-        ("oscillation_freq_hz", "0"), ("phase_offset_rad", "nan"),
-        ("symbol_rate_hz", "0")])
+    @bad_keys(
+        ("carrier_freq_hz", "nan", "carrier_freq_hz must be finite and > 0"),
+        ("collision_freq_hz", "-1",
+         "collision_freq_hz must be finite and >= 0"),
+        ("sheath_thickness_m", "-1",
+         "sheath_thickness_m must be finite and > 0, got -1.0"),
+        ("sheath_thickness_m", "nan",
+         "sheath_thickness_m must be finite and > 0, got nan"),
+        ("n_e_min", "0",
+         "n_e_min and n_e_max must satisfy 0 < n_min <= n_max < inf"),
+        ("n_e_max", "inf",
+         "n_e_min and n_e_max must satisfy 0 < n_min <= n_max < inf"),
+        ("oscillation_freq_hz", "0",
+         "oscillation_freq_hz must be > 0 for the sinusoid profile"),
+        ("phase_offset_rad", "nan",
+         "oscillation_freq_hz and phase_offset_rad must be finite"),
+        ("symbol_rate_hz", "0",
+         "symbol_rate_hz must be finite and > 0, got 0.0"),
+        ("symbol_rate_hz", "inf",
+         "symbol_rate_hz must be finite and > 0, got inf"))
     def test_bad_channel_field_names_its_key(self, tmp_path, capsys, key,
-                                             value):
-        assert_bad_key_names_it(tmp_path, capsys, key, value)
+                                             value, message):
+        assert_bad_key_names_it(tmp_path, capsys, key, value, message)
 
-    @pytest.mark.parametrize("key, value", [
-        ("pretrain_steps", "-1"), ("em_iterations", "-1"),
-        ("mstep_steps", "-1"), ("dnn_steps", "-3"), ("dnn_hidden", "0"),
-        ("dnn_learning_rate", "0"), ("hidden_units", "0"),
-        ("init_std", "0")])
+    @bad_keys(
+        ("pretrain_steps", "-1", "pretrain_steps must be >= 0, got -1"),
+        ("em_iterations", "-1", "em_iterations must be >= 0, got -1"),
+        ("mstep_steps", "-1", "mstep_steps must be >= 0, got -1"),
+        ("hidden_units", "0", "hidden_units must be >= 1, got 0"),
+        ("learning_rate", "inf",
+         "learning_rate must be finite and > 0, got inf"),
+        ("init_std", "0", "init_std must be finite and > 0, got 0.0"),
+        ("dnn_steps", "-3", "dnn_steps must be >= 0, got -3"),
+        ("dnn_hidden", "0", "dnn_hidden must be >= 1, got 0"),
+        ("dnn_learning_rate", "0",
+         "dnn_learning_rate must be finite and > 0, got 0.0"),
+        ("dnn_learning_rate", "nan",
+         "dnn_learning_rate must be finite and > 0, got nan"))
     def test_bad_training_field_names_its_key(self, tmp_path, capsys, key,
-                                              value):
-        assert_bad_key_names_it(tmp_path, capsys, key, value)
+                                              value, message):
+        assert_bad_key_names_it(tmp_path, capsys, key, value, message)
+
+    @bad_keys(
+        ("trials", "0", "trials must be >= 1, got 0"),
+        ("workers", "0", "workers must be >= 1, got 0"),
+        ("seed", "-1", "seed must be >= 0, got -1"))
+    def test_bad_harness_field_names_its_key(self, tmp_path, capsys, key,
+                                             value, message):
+        assert_bad_key_names_it(tmp_path, capsys, key, value, message)
 
     @DUPLICATE_KEYS
     def test_duplicate_key_exit_two(self, tmp_path, capsys, text, field):

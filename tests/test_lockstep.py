@@ -199,7 +199,7 @@ class TestGroupDnn:
     @pytest.mark.parametrize("size", SIZES)
     def test_cells_equal_lone_dnns(self, size):
         const, group = cells(count=size)
-        config = DnnTrainConfig(steps=150)
+        config = DnnTrainConfig(dnn_steps=150)
         seeds, frames, received = zip(*group)
         grouped = supervised_dnn(received, frames, const, rng_seed=seeds,
                                  config=config)

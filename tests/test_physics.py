@@ -283,3 +283,7 @@ class TestValidation:
         with pytest.raises(ConfigError):
             DensityTrajectory(**{field: value})
 
+    def test_trajectory_length_names_its_value(self):
+        with pytest.raises(ConfigError, match="^length must be >= 1, got 0$"):
+            DensityTrajectory(length=0)
+

@@ -16,9 +16,23 @@ from plasmalink.bench import (
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text(encoding="utf-8")
-# (line of the opening fence, code) of every python block
-BLOCKS = [(TEXT.count("\n", 0, m.start()) + 1, m.group(1)) for m in
-          re.finditer(r"^```python\n(.*?)^```", TEXT, re.S | re.M)]
+
+
+def _section(pos):
+    """The slug of the nearest "## " heading above position pos."""
+    heading = re.findall(r"^## (.+)$", TEXT[:pos], re.M)[-1]
+    return re.sub(r"[^a-z0-9]+", "-", heading.lower()).strip("-")
+
+
+# (section, line of the opening fence, code) of every python block
+BLOCKS = [(_section(m.start()), TEXT.count("\n", 0, m.start()) + 1,
+           m.group(1))
+          for m in re.finditer(r"^```python\n(.*?)^```", TEXT, re.S | re.M)]
+# a block's id is its section, numbered only where a section holds several
+SECTIONS = [section for section, _, _ in BLOCKS]
+IDS = [section if SECTIONS.count(section) == 1
+       else f"{section}-{SECTIONS[:i].count(section) + 1}"
+       for i, section in enumerate(SECTIONS)]
 # (file, schema, columns) of every row of the CSV schemas table
 SCHEMAS = re.findall(r"^\| `(\w+\.csv)` \| `([^`]+)` \| (.+) \|$", TEXT,
                      re.M)
@@ -28,8 +42,8 @@ def test_readme_has_python_blocks():
     assert BLOCKS
 
 
-@pytest.mark.parametrize("line, code", BLOCKS,
-                         ids=[f"line{line}" for line, _ in BLOCKS])
+@pytest.mark.parametrize("line, code",
+                         [(line, code) for _, line, code in BLOCKS], ids=IDS)
 def test_python_block_runs(line, code):
     # compiled under the README's name, offset so a traceback names the
     # README line
