@@ -69,6 +69,7 @@ __all__ = [
     "config_to_text",
     "config_from_text",
     "parse_value",
+    "load_config_values",
     "load_config",
     "save_config",
     "build_channel",
@@ -257,8 +258,10 @@ def parse_value(name: str, text: str):
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-def config_from_text(text: str) -> ExperimentConfig:
-    """Parse the key=value format; unknown keys are errors, not warnings."""
+def _config_values(text: str) -> dict:
+    """The field values the key=value format gives, by field name, each
+    parsed on its own; ExperimentConfig checks them together. Unknown keys
+    are errors, not warnings."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _COMMENT.split(raw, 1)[0].strip()
@@ -281,10 +284,17 @@ def config_from_text(text: str) -> ExperimentConfig:
         if field in values:
             raise ConfigError(f"line {lineno}: {field} given twice")
         values[field] = value
-    return ExperimentConfig(**values)
+    return values
 
 
-def load_config(path) -> ExperimentConfig:
+def config_from_text(text: str) -> ExperimentConfig:
+    return ExperimentConfig(**_config_values(text))
+
+
+def load_config_values(path) -> dict:
+    """The field values a config file gives, each parsed on its own, for a
+    caller that puts its own values over them before building the
+    ExperimentConfig (the CLI's flags)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -292,7 +302,11 @@ def load_config(path) -> ExperimentConfig:
                           f"{exc.strerror}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"config file {path} is not UTF-8 text") from None
-    return config_from_text(text)
+    return _config_values(text)
+
+
+def load_config(path) -> ExperimentConfig:
+    return ExperimentConfig(**load_config_values(path))
 
 
 def save_config(path, config: ExperimentConfig) -> None:
@@ -654,8 +668,10 @@ def run_learning_snapshots(config: ExperimentConfig):
     """Six training states at the first (SNR, interval) of the config.
 
     Snapshot 0 is the raw received data (no curves); 1 and 2 are two
-    pretraining states; 3 and 4 are two EM states; 5 is the final state
-    whose decisions are also written out. Emits received.csv,
+    pretraining states; 3 and 4 are two EM states (em_iterations >= 4
+    leaves room for both); 5 is the final state, the one em.fit returns
+    (step max(em_iterations - 1, 0)), whose decisions are also written
+    out. Emits received.csv,
     snapshot_manifest.csv, snapshot_curves.csv, decisions.csv, trace.csv,
     weights.csv and the archived config.
     """
@@ -668,8 +684,10 @@ def run_learning_snapshots(config: ExperimentConfig):
     save_sequence_csv(out_dir / "received.csv", frame, rx)
 
     schedule = config.schedule()
-    steps, iterations = schedule.pretrain_steps, schedule.em_iterations
+    steps = schedule.pretrain_steps
     early = max(1, steps // 8)
+    # the state fit returns
+    final = max(schedule.em_iterations - 1, 0)
 
     run = partial(fitting, (rx,), (frame,), const, rng_seed=(seed,))
     # (phase, step, model) of each curve snapshot; Adam and EM read only
@@ -678,12 +696,12 @@ def run_learning_snapshots(config: ExperimentConfig):
     if early < steps:
         state = next(run(replace(schedule, pretrain_steps=early)))
         captured.append(("pretrain", early, state[0].model))
-    for it, (result,) in zip(range(iterations + 1), run(schedule)):
+    for it, (result,) in zip(range(final + 1), run(schedule)):
         if it == 0 and steps:
             captured.append(("pretrain", steps, result.model))
-        if it in (1, max(2, iterations // 2)) and it < iterations:
+        if it in (1, max(2, final // 2)) and it < final:
             captured.append(("em", it, result.model))
-    captured.append(("final", iterations, result.model))
+    captured.append(("final", final, result.model))
 
     manifest = [{"snapshot": 0, "phase": "raw", "step": 0, "curve_points": 0}]
     curve_rows = []
@@ -732,9 +750,9 @@ def run_fading_estimation(config: ExperimentConfig):
     Uses the first pilot interval; writes fading.csv (per-sample traces)
     and fading_summary.csv (per-SNR RMSE) plus the archived config. The
     SNR cells run in lockstep groups, through the pool as the sweep's do.
-    fit returns state E of em.fitting, so a sample's decided symbol comes
-    from model E-1's E-step, while its gain estimate (est_I, est_Q and so
-    abs_error) is read through model E's encoder and decoder.
+    A sample's decided symbol and its gain estimate (est_I, est_Q and so
+    abs_error) come from one model, the one em.fit returns, and the
+    decision from that model's own E-step.
     """
     gains, out_dir = _open_study(config, ["fading.csv", "fading_summary.csv"])
     interval = config.pilot_intervals[0]

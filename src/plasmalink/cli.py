@@ -26,7 +26,7 @@ from .bench import (
     ExperimentConfig,
     build_channel,
     compute_ser,
-    load_config,
+    load_config_values,
     parse_value,
     run_fading_estimation,
     run_learning_snapshots,
@@ -67,14 +67,16 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    """The --config file (or the defaults) with every run flag given on
-    the command line applied; validate-physics has only --seed."""
+    """The --config file's values (or the defaults) with every run flag
+    given on the command line put over them, checked once as a whole, so
+    a flag can mend a file and break it; validate-physics has only
+    --seed."""
     given = vars(args)
     path = given.get("config")
-    config = load_config(path) if path else ExperimentConfig()
-    overrides = {key: parse_value(key, text) for flag, key, _ in _RUN_FLAGS
-                 if (text := given.get(flag[2:])) is not None}
-    return replace(config, **overrides)
+    values = load_config_values(path) if path else {}
+    values.update((key, parse_value(key, text)) for flag, key, _ in _RUN_FLAGS
+                  if (text := given.get(flag[2:])) is not None)
+    return ExperimentConfig(**values)
 
 
 def _cmd_ser_sweep(args) -> int:

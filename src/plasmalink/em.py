@@ -18,9 +18,12 @@ The evidence lower bound
                          + ln(1/K) - ln W_ik ]
 
 must never decrease across an E-step (the E-step zeroes the KL gap), which
-fitting() checks as it yields each state of a run (fit() stops at the
-schedule's em_iterations); a violation means the posterior or the
-likelihood is wrong and raises immediately.
+fitting() checks before it yields each state of a run; a violation means
+the posterior or the likelihood is wrong and raises immediately. Every
+state pairs a model with its own E-step posterior, and fit() stops at the
+schedule's em_iterations-th E-step, so no M-step runs that no decision
+reads. Stopping after any E-step is sound, since every E-step and every
+M-step raises the bound (Neal & Hinton, 1998).
 """
 
 from __future__ import annotations
@@ -112,9 +115,9 @@ class TraceRecord:
 
     phase: str            # "pretrain" or "em"
     iteration: int        # 0 for pretrain, 1-based for EM
-    elbo_before_e: float
-    elbo_after_e: float
-    loss_before_m: float  # weighted MSE with this iteration's W, pre M-step
+    elbo_before_e: float  # E-step of this iteration's model: bound before
+    elbo_after_e: float   # and after it
+    loss_before_m: float  # weighted MSE with the previous W, pre M-step
     loss_after_m: float   # same objective after the M-step's Adam run
     noise_variance: float
 
@@ -358,12 +361,13 @@ def fitting(received, frames, constellation: Constellation,
     lockstep: its C x K encoders run as one stack and its C decoders as
     another, and each cell's numbers are those of fitting it alone.
 
-    State i >= 1 pairs the model after M-step i with the posterior that
-    M-step was trained on, the E-step of model i - 1, so EM iteration 1's
-    E-step repeats pretraining's: state 1's posterior and trace row 1's two
-    bounds equal state 0's posterior and elbo_after_e. What changed since
-    the last iteration reads 0 at iteration 1; at most E - 1 of E EM
-    iterations can raise the bound.
+    State i pairs model i (the pretrained model at i = 0, the model after
+    M-step i after that) with its own posterior, the E-step of model i.
+    The M-step that makes model i + 1 runs only when the caller asks for
+    state i + 1. Trace row i >= 1 holds M-step i's losses (loss_before_m
+    under state i - 1's posterior) and sigma^2, then the bounds before
+    and after the E-step of model i; row 0 holds the pilot residual and
+    the bound of state 0.
 
     The initial noise variance is the pilot residual after pretraining (the
     only data-driven estimate before the first E-step), raised to the floor
@@ -407,6 +411,11 @@ def fitting(received, frames, constellation: Constellation,
                                  weights=w[c].T.copy(), trace=tuple(trace))
                        for c, trace in enumerate(traces))
         with np.errstate(over="raise", invalid="raise"):
+            batch.reweigh(w)
+            loss_before = batch.loss(d2)
+            # spent: freed before the M-step makes the next
+            del d2
+            model, loss_after, d2 = _m_step(model, batch, schedule)
             before = _bound(model, d2, w)
             w = _posterior(model, d2, pilots)
             after = _bound(model, d2, w)
@@ -417,25 +426,24 @@ def fitting(received, frames, constellation: Constellation,
                     f"lower bound decreased across E-step {it + 1}: "
                     f"{before[c]:.12g} -> {after[c]:.12g} "
                     f"(cell {c} of the group)")
-            batch.reweigh(w)
-            loss_before = batch.loss(d2)
-            # spent: freed before the M-step makes the next
-            del d2
-            model, loss_after, d2 = _m_step(model, batch, schedule)
         phase, values = "em", (before, after, loss_before, loss_after,
                                model.noise_variance)
 
 
 def fit(received, frame, constellation: Constellation,
         schedule: EmSchedule = EmSchedule(), rng_seed=0):
-    """The state of fitting at schedule.em_iterations: a GroupFit, or for
-    one cell (a ReceivedSequence, its Frame and an int seed) its
-    FitResult. A caller that reads states on the way drives fitting."""
+    """State max(E - 1, 0) of fitting, E = schedule.em_iterations: a
+    GroupFit, or for one cell (a ReceivedSequence, its Frame and an int
+    seed) its FitResult. E EM iterations end at the E-th E-step, counting
+    pretraining's, so they run max(E - 1, 0) M-steps; an M-step after the
+    last E-step would change no decision. A caller that reads states on
+    the way drives fitting."""
     if isinstance(received, ReceivedSequence):
         return fit((received,), (frame,), constellation, schedule,
                    (rng_seed,))[0]
     return next(islice(fitting(received, frame, constellation, schedule,
-                               rng_seed), schedule.em_iterations, None))
+                               rng_seed),
+                       max(schedule.em_iterations - 1, 0), None))
 
 
 def demodulate(w: np.ndarray) -> np.ndarray:

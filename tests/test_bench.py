@@ -429,6 +429,17 @@ class TestSnapshots:
         assert rows[0][1] == "raw" and rows[0][3] == "0"
         assert rows[1][1] == "pretrain" and rows[5][1] == "final"
         assert all(int(r[3]) > 0 for r in rows[1:])
+        # the final state is the one fit returns: four iterations end at
+        # state 3, after the EM states 1 and 2
+        assert [r[2] for r in rows[3:]] == ["1", "2", "3"]
+        const = build_constellation(config.bits_per_symbol)
+        seed = cell_seed(config.seed, config.snr_db[0],
+                         config.pilot_intervals[0], 0)
+        fitted = fit(rx, frame, const, config.schedule(), rng_seed=seed)
+        np.testing.assert_array_equal(result.model.params,
+                                      fitted.model.params)
+        np.testing.assert_array_equal(result.weights, fitted.weights)
+        assert result.trace == fitted.trace
 
         # curves file only references snapshots 1..5
         curve_lines = (tmp_path / "snapshot_curves.csv").read_text()
@@ -467,6 +478,7 @@ class TestSnapshots:
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
 
     def test_trace_csv_written(self, tmp_path):
+        # two iterations end at state 1: the pretraining row and one EM row
         config = quick_config(out_dir=str(tmp_path))
         result, _, _ = run_learning_snapshots(config)
         lines = (tmp_path / "trace.csv").read_text().splitlines()
@@ -476,7 +488,7 @@ class TestSnapshots:
         assert len(lines) == 2 + len(result.trace)
         last = result.trace[-1]
         assert lines[-1] == ",".join(
-            ["em", "2"] + [f"{v:.17g}" for v in (
+            ["em", "1"] + [f"{v:.17g}" for v in (
                 last.elbo_before_e, last.elbo_after_e, last.loss_before_m,
                 last.loss_after_m, last.noise_variance)])
 
@@ -721,6 +733,29 @@ class TestCli:
     def test_negative_snr_list_takes_equals_form(self):
         args = build_parser().parse_args(["ser-sweep", "--snr=-4,0"])
         assert _resolve_config(args).snr_db == (-4.0, 0.0)
+
+    def test_flag_mends_the_config_file(self, tmp_path, capsys):
+        # alone the file is invalid: the default interval 256 exceeds its
+        # frame length. Its values and the flags' are checked together
+        (tmp_path / "run.txt").write_text("frame_length = 64\n")
+        out = tmp_path / "out"
+        code = main(["ser-sweep", "--config", str(tmp_path / "run.txt"),
+                     "--intervals", "16", "--snr", "20", "--trials", "1",
+                     "--receivers", "genie_ml", "--outdir", str(out)])
+        assert code == 0, capsys.readouterr().err
+        archived = load_config(out / "config.txt")
+        assert (archived.frame_length, archived.pilot_intervals) == (64, (16,))
+
+    def test_flag_breaks_the_config_file(self, tmp_path, capsys):
+        (tmp_path / "run.txt").write_text("frame_length = 64\n"
+                                          "pilot_intervals = 16\n")
+        out = tmp_path / "out"
+        code = main(["ser-sweep", "--config", str(tmp_path / "run.txt"),
+                     "--intervals", "256", "--outdir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: pilot intervals [256] outside 2..frame_length (64)\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, config_text, flags", [
         ("ser-sweep", "", ["--receivers", ""]),

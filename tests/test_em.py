@@ -252,17 +252,23 @@ class TestFit:
         assert len(result.trace) == 1
         assert result.trace[0].phase == "pretrain"
 
-    def test_first_em_state_repeats_the_pretraining_e_step(self):
-        # state 1 pairs the first M-step's model with the posterior it was
-        # trained on, which is the E-step of the pretrained model
+    def test_each_state_pairs_its_model_with_its_own_e_step(self):
+        # state i's posterior is the E-step of model i, and trace row i's
+        # bounds are those of that E-step: before it under state i - 1's
+        # posterior, after it under state i's own
         const, frame, rx = static_run(0.7 + 0.1j, snr_db=8.0, seed=57)
         schedule = EmSchedule(pretrain_steps=100, mstep_steps=20)
-        (zero,), (one,) = islice(fitting((rx,), (frame,), const, schedule,
-                                         (57,)), 2)
-        np.testing.assert_array_equal(one.weights, zero.weights)
-        start = zero.trace[0].elbo_after_e
-        assert one.trace[1].elbo_before_e == start
-        assert one.trace[1].elbo_after_e == start
+        states = [state for (state,) in islice(
+            fitting((rx,), (frame,), const, schedule, (57,)), 3)]
+        for i, state in enumerate(states):
+            np.testing.assert_array_equal(
+                state.weights, e_step(state.model, rx, frame))
+            assert state.trace[i].elbo_after_e == elbo(state.model, rx,
+                                                       state.weights)
+        for previous, state in zip(states, states[1:]):
+            assert not np.array_equal(state.weights, previous.weights)
+            assert state.trace[-1].elbo_before_e == elbo(
+                state.model, rx, previous.weights)
 
     def test_initial_variance_clamp_is_logged(self, caplog, monkeypatch):
         # a floor above every pilot residual clamps each cell's first
@@ -316,29 +322,37 @@ class TestFit:
         schedule = EmSchedule(pretrain_steps=300, em_iterations=5,
                               mstep_steps=50)
         result = fit(rx, frame, const, schedule, rng_seed=52)
-        assert len(result.trace) == 6
-        for rec in result.trace[1:]:
+        # five iterations end at the fifth E-step, after four M-steps
+        assert len(result.trace) == 5
+        for prev, rec in zip(result.trace, result.trace[1:]):
             assert rec.elbo_after_e >= rec.elbo_before_e - 1e-9
             assert rec.loss_after_m <= rec.loss_before_m
             assert rec.noise_variance > 0.0
+            # and the M-step between the two E-steps did not lower it
+            assert rec.elbo_before_e >= prev.elbo_after_e - 1e-9
 
     def test_trace_losses_are_the_training_loss(self):
         # the last M-step's loss and sigma^2 are the training pass's loss
-        # of the final model under the final posterior, bit for bit
+        # of the final model under the posterior it was trained on, the
+        # previous state's, bit for bit
         const, frame, rx = static_run(0.7 - 0.3j, snr_db=9.0, seed=53)
-        result = fit(rx, frame, const, EmSchedule(pretrain_steps=50,
-                                                  em_iterations=3,
-                                                  mstep_steps=20),
-                     rng_seed=53)
-        loss = weighted_loss(result.model, rx.iq(), result.weights)
+        schedule = EmSchedule(pretrain_steps=50, em_iterations=3,
+                              mstep_steps=20)
+        result = fit(rx, frame, const, schedule, rng_seed=53)
+        previous = fit(rx, frame, const, replace(schedule, em_iterations=2),
+                       rng_seed=53)
+        loss = weighted_loss(result.model, rx.iq(), previous.weights)
         assert result.trace[-1].loss_after_m == loss
+        assert result.trace[-1].loss_before_m == weighted_loss(
+            previous.model, rx.iq(), previous.weights)
         assert result.model.noise_variance == max(loss,
                                                   NOISE_VARIANCE_FLOOR)
 
     @pytest.mark.parametrize("iterations", [0, 1, 3])
     def test_distances_once_per_model_state(self, monkeypatch, iterations):
         # one distance matrix over the frame's rows after pretraining and
-        # one per M-step; the bounds, the E-step and every loss reuse it.
+        # one per M-step, of which E iterations run max(E - 1, 0); the
+        # bounds, the E-step and every loss reuse it.
         # The pilot rows and the frame rows are laid out once each, and
         # the fit never rotates onto the curves.
         const, frame, rx = static_run(0.75, snr_db=10.0, seed=54)
@@ -360,14 +374,15 @@ class TestFit:
         fit(rx, frame, const, EmSchedule(pretrain_steps=20,
                                          em_iterations=iterations,
                                          mstep_steps=5), rng_seed=54)
-        assert rows == [len(rx)] * (1 + iterations)
+        assert rows == [len(rx)] * (1 + max(iterations - 1, 0))
         assert built == [len(frame.pilot_positions), len(rx)]
         assert projected == []
 
     def test_every_step_calls_loss_and_gradients_through_em(self,
                                                            monkeypatch):
         # the benchmark's tracer counts training steps by patching this
-        # module attribute, so each Adam step must look it up there
+        # module attribute, so each Adam step must look it up there; three
+        # iterations run two M-steps
         const, frame, rx = static_run(0.75, snr_db=10.0, seed=55)
         original = em_module.loss_and_gradients
         calls = []
@@ -381,7 +396,7 @@ class TestFit:
                               mstep_steps=5)
         fit(rx, frame, const, schedule, rng_seed=55)
         pilots = len(frame.pilot_positions)
-        assert calls == [pilots] * 7 + [len(rx)] * 15
+        assert calls == [pilots] * 7 + [len(rx)] * 10
 
     def test_noiseless_static_payload_posteriors_near_one_hot(self):
         const, frame, rx = static_run(0.8, seed=53)

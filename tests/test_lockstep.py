@@ -6,6 +6,7 @@ so the sweep's and the fading study's CSVs do not depend on the group size
 or on the worker count.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 from itertools import islice
@@ -36,6 +37,23 @@ from plasmalink.net import (
 
 SIZES = sorted({1, 2, 3, bench.GROUP_CELLS})
 SCHEDULE = EmSchedule(pretrain_steps=60, em_iterations=3, mstep_steps=15)
+
+# sha256 of fit(...).weights (float64 little-endian, the cells' matrices
+# one after another) under SCHEDULE at em_iterations E, for the first
+# cell alone and for the first two cells as a group, recorded from the fit
+# that ran an M-step after its last E-step and returned that M-step's
+# model with the posterior it was trained on. A fit that stops at that
+# E-step must decide exactly as it did.
+FROZEN_WEIGHT_DIGESTS = {
+    0: ("db90bc0d5442db03adeb6865f2d0801d535c893244c2f9d2f0ff09e45b033791",
+        "54b9045370614c53c4f5505dbb3ec17a0e5cea1c56d458c92abd88362ff1d5a8"),
+    1: ("db90bc0d5442db03adeb6865f2d0801d535c893244c2f9d2f0ff09e45b033791",
+        "54b9045370614c53c4f5505dbb3ec17a0e5cea1c56d458c92abd88362ff1d5a8"),
+    2: ("613623913716c26b2099a212c6b3de43680834f7b0aba407f7a40b7289890af8",
+        "b0f7ec96b58c86b53d46feb0fc3552a0b7b175f8776e606ac32d2806f8dd6a53"),
+    5: ("f46a3c93898d4363e41677c1afa5d903421e61dafc5734d9a09e87b040f87d7f",
+        "f9d54c2a07354510884f23dc67a9ed9c8e3ae20ef261fcfb84c2088f1e42ec80"),
+}
 
 
 def cells(bits=2, m=256, interval=16, count=max(SIZES)):
@@ -128,14 +146,16 @@ class TestGroupFit:
 
     def test_states_equal_fits_at_every_iteration(self):
         # fitting never reads em_iterations: a schedule of 1 taken to
-        # state 3 passes through fit's result at 0, 1, 2 and 3 iterations,
-        # and a state kept while the run goes on keeps its numbers
+        # state 3 passes through fit's result at 0 to 4 iterations, which
+        # is state max(E - 1, 0), and a state kept while the run goes on
+        # keeps its numbers
         const, group = cells(count=2)
         seeds, frames, received = zip(*group)
         states = list(islice(fitting(
             received, frames, const, replace(SCHEDULE, em_iterations=1),
             seeds), 4))
-        for k, state in enumerate(states):
+        for k in range(5):
+            state = states[max(k - 1, 0)]
             expect = fit(received, frames, const,
                          replace(SCHEDULE, em_iterations=k), rng_seed=seeds)
             for a, b in zip(state, expect, strict=True):
@@ -143,6 +163,24 @@ class TestGroupFit:
                 assert a.model.noise_variance == b.model.noise_variance
                 np.testing.assert_array_equal(a.weights, b.weights)
                 assert a.trace == b.trace
+
+    @pytest.mark.parametrize("iterations", sorted(FROZEN_WEIGHT_DIGESTS))
+    def test_weights_match_frozen(self, iterations):
+        const, group = cells(count=2)
+        seeds, frames, received = zip(*group)
+        schedule = replace(SCHEDULE, em_iterations=iterations)
+
+        def digest(results):
+            h = hashlib.sha256()
+            for result in results:
+                h.update(result.weights.astype("<f8").tobytes())
+            return h.hexdigest()
+
+        seed, frame, rx = group[0]
+        lone = fit(rx, frame, const, schedule, rng_seed=seed)
+        grouped = fit(received, frames, const, schedule, rng_seed=seeds)
+        assert (digest([lone]), digest(grouped)) == \
+            FROZEN_WEIGHT_DIGESTS[iterations]
 
     def test_states_hold_each_cell(self):
         const, group = cells(count=2)
@@ -269,6 +307,34 @@ class TestGroupedStudies:
                               for f in ("fading.csv",
                                         "fading_summary.csv")))
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize("iterations", [0, 1, 2, 4])
+    def test_sweep_runs_no_unread_m_step(self, tmp_path, monkeypatch,
+                                         iterations):
+        # a group's decisions are the posterior of its em_iterations-th
+        # E-step, pretraining's included, so it trains the pretraining
+        # steps and then max(E - 1, 0) M-steps, and no step more
+        config = sweep_config(tmp_path, f"e{iterations}", receivers=("smn",),
+                              em_iterations=iterations)
+        groups = bench._cell_groups([
+            (snr, interval, trial) for snr in config.snr_db
+            for interval in config.pilot_intervals
+            for trial in range(config.trials)])
+        original = em_module.loss_and_gradients
+        rows = []
+
+        def counting(model, batch):
+            rows.append(len(batch))
+            return original(model, batch)
+
+        monkeypatch.setattr(em_module, "loss_and_gradients", counting)
+        run_ser_sweep(config)
+        m_steps = max(iterations - 1, 0)
+        assert len(groups) == 4
+        assert rows == [
+            n for group in groups for n in
+            [config.frame_length // group[0][1]] * config.pretrain_steps
+            + [config.frame_length] * (m_steps * config.mstep_steps)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_cell_fails_alone(self, tmp_path, monkeypatch):
