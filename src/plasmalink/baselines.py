@@ -138,16 +138,19 @@ def supervised_dnn(received, frame, constellation: Constellation, rng_seed,
 
     state = init_adam(params)
     grads = np.empty_like(params)
-    # layer views and activation buffers bound once; each Adam result is
-    # copied into params
+    # layer views, activation and gradient buffers bound once; each Adam
+    # result is copied into params
     layers = mlp_layers(widths, params)
     grad_layers = mlp_layers(widths, grads)
     acts = mlp_activations(layers, x_train)
+    # the two hidden layers' input gradients; the input's is not needed
+    g_ins = [None] + [np.empty((len(params), config.dnn_hidden, n))
+                      for _ in range(2)]
     for _ in range(config.dnn_steps):
         logits, cache = mlp_forward(layers, x_train, acts)
         # mean cross-entropy gradient
         g_logits = (_softmax(logits) - onehot) / n
-        mlp_backward(layers, cache, g_logits, grad_layers, input_grad=False)
+        mlp_backward(layers, cache, g_logits, grad_layers, g_ins)
         new_params, state = adam_step(params, grads, state,
                                       learning_rate=config.dnn_learning_rate)
         np.copyto(params, new_params)

@@ -146,7 +146,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown receivers {sorted(unknown)}")
         check_fields(self, at_least=(("trials", 1), ("workers", 1),
-                                     ("seed", 0)))
+                                     ("seed", 0), ("frame_length", 2)))
         for name in ("receivers", "snr_db", "pilot_intervals"):
             values = getattr(self, name)
             if not values:
@@ -296,7 +296,8 @@ def load_config_values(path) -> dict:
     caller that puts its own values over them before building the
     ExperimentConfig (the CLI's flags)."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark some editors write first
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: "
                           f"{exc.strerror}") from None

@@ -81,11 +81,11 @@ parameters in and ends by copying the gradient out. Every buffer is
 written before it is read, except the ones rows, which are written when
 the buffer is made and never again, so earlier calls never change a
 result, and what a public function returns is always a fresh array.
+mlp_backward, too, writes only into buffers its caller built.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -262,27 +262,25 @@ def mlp_forward(layers, x: np.ndarray, acts=None):
     return a, cache
 
 
-def mlp_backward(layers, cache, g_out, grads, g_ins=None, input_grad=True):
+def mlp_backward(layers, cache, g_out, grads, g_ins):
     """Backprop dL/d(output), shape (..., fan_out, n), through the stack.
 
     Writes dL/d[W | b] into grads, the mlp_layers views of a gradient laid
     out like the parameters (the ones row makes the bias gradient the last
-    column of one matmul), and returns dL/d(input), shape (..., fan_in, n),
-    or None without input_grad, which skips the first layer's input
-    gradient. g_ins, when given, holds per layer the (..., fan_in, n)
-    buffer its input gradient goes to. The tanh derivative 1 - a^2 is
-    formed in place of the cached hidden activations, above their ones
+    column of one matmul), and each layer's input gradient into its
+    (..., fan_in, n) buffer in g_ins; returns the first layer's, dL/d(input),
+    or None if g_ins[0] is None, which skips it. The tanh derivative 1 - a^2
+    is formed in place of the cached hidden activations, above their ones
     rows, so the cache is spent afterwards.
     """
     g = g_out
     for idx in range(len(layers) - 1, -1, -1):
         a = cache[idx]
         np.matmul(g, a.mT, out=grads[idx])
-        if idx == 0 and not input_grad:
+        g_in = g_ins[idx]
+        if g_in is None:
             return None
         weights = layers[idx][..., :-1]
-        g_in = (np.empty(g.shape[:-2] + (weights.shape[-1], g.shape[-1]))
-                if g_ins is None else g_ins[idx])
         # a fan-out-1 layer's input gradient is an outer product
         if weights.shape[-2] == 1:
             np.multiply(weights.mT, g, out=g_in)
@@ -366,10 +364,12 @@ def project_all(model: SmnModel, y: np.ndarray) -> np.ndarray:
 
 class _Workspace:
     """Every buffer an SMN pass over C cells of S = K curves each and m
-    rows writes into."""
+    rows writes into, for encoders (2, h_enc, 1) and a decoder
+    (1, h_dec, 2): one hidden layer each, as init_model builds them."""
 
     def __init__(self, cells, curves, encoder_widths, decoder_widths, rows):
         c, s, m, n = cells, curves, rows, curves * rows
+        (_, h_enc, _), (_, h_dec, _) = encoder_widths, decoder_widths
         # per cell the K encoders, then the decoder, laid out as the
         # model's parameters; the layer views are built once
         enc = param_count(encoder_widths)
@@ -386,12 +386,9 @@ class _Workspace:
         # the decoder input: a cell's coordinates side by side, which the
         # encoders' last layer writes, over the ones row
         self.lam = _ones_row((c, 2, n))
-        self.enc_acts = ([_ones_row((c, s, w + 1, m))
-                          for w in encoder_widths[1:-1]]
-                         + [self.lam[:, :1].reshape(c, s, 1, m, copy=False)])
-        self.dec_acts = ([_ones_row((c, w + 1, n))
-                          for w in decoder_widths[1:-1]]
-                         + [np.empty((c, decoder_widths[-1], n))])
+        self.enc_acts = [_ones_row((c, s, h_enc + 1, m)),
+                         self.lam[:, :1].reshape(c, s, 1, m, copy=False)]
+        self.dec_acts = [_ones_row((c, h_dec + 1, n)), np.empty((c, 2, n))]
         # decoder outputs per curve: radius logit, then radius, then the
         # gradient at the logit; angle, then scratch, then the gradient at
         # the angle
@@ -399,23 +396,19 @@ class _Workspace:
         self.angle = self.dec_acts[-1][:, 1].reshape(c, s, m)
         self.mask = np.empty((c, s, m), dtype=bool)
         # input gradients: the decoder's goes to the radius row of its
-        # output, spent by then. Its backward pass ends before the
-        # encoders' starts, so at each hidden depth the two share one
-        # buffer of c * n * (the wider of the two layers) floats. The first
-        # also holds five (c, s, m) arrays, spent before the backward pass
-        # starts: the canonical curve point (tmp, tmp2), then three scratch
-        # arrays of the distances (residuals, then their gradients).
-        hidden = (encoder_widths[1:-1], decoder_widths[1:-1])
-        widest = [max(pair) for pair in zip_longest(*hidden, fillvalue=0)]
-        widest[0] = max(widest[0], 5)
-        shared = [np.empty(c * n * w) for w in widest]
-        self.tmp, self.tmp2, *self.scratch = shared[0][:5 * c * n].reshape(
+        # output, spent by then, and the encoders' first layer needs none.
+        # The decoder's backward pass ends before the encoders' starts, so
+        # their hidden layers share one buffer of c * n * (the wider of the
+        # two) floats. It also holds five (c, s, m) arrays, spent before
+        # the backward pass starts: the canonical curve point (tmp, tmp2),
+        # then three scratch arrays of the distances (residuals, then their
+        # gradients).
+        shared = np.empty(c * n * max(h_enc, h_dec, 5))
+        self.tmp, self.tmp2, *self.scratch = shared[:5 * c * n].reshape(
             5, c, s, m)
-        self.enc_g_ins = [None] + [buf[:c * n * w].reshape(c, s, w, m)
-                                   for buf, w in zip(shared, hidden[0])]
-        self.dec_g_ins = [self.dec_acts[-1][:, :1]] + [
-            buf[:c * n * w].reshape(c, w, n)
-            for buf, w in zip(shared, hidden[1])]
+        self.enc_g_ins = [None, shared[:c * n * h_enc].reshape(c, s, h_enc, m)]
+        self.dec_g_ins = [self.dec_acts[-1][:, :1],
+                          shared[:c * n * h_dec].reshape(c, h_dec, n)]
 
 
 # Most columns (cells x curves x rows) one SMN pass holds. The cells of a
@@ -629,7 +622,7 @@ def _loss_pass(params: np.ndarray, batch: Batch, part: slice,
                          ws.dec_grads, ws.dec_g_ins)
     mlp_backward(ws.enc_layers, enc_cache,
                  g_lam.reshape(w.shape[:2] + (1, -1)), ws.enc_grads,
-                 ws.enc_g_ins, input_grad=False)
+                 ws.enc_g_ins)
     return loss
 
 

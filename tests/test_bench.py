@@ -168,6 +168,16 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="snr_db"):
             config_from_text("snr_db = 10#5\n")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # some editors start a UTF-8 file with the mark U+FEFF
+        text = config_to_text(quick_config(seed=3))
+        (tmp_path / "plain.txt").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.txt").write_text(text, encoding="utf-8-sig")
+        assert (tmp_path / "bom.txt").read_bytes().startswith(
+            b"\xef\xbb\xbf")
+        assert load_config(tmp_path / "bom.txt") == \
+            load_config(tmp_path / "plain.txt") == quick_config(seed=3)
+
     def test_validation(self):
         with pytest.raises(ConfigError, match="profile"):
             ExperimentConfig(profile="square")
@@ -619,8 +629,9 @@ class TestCli:
         assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("case", [
-        "config-is-directory", "config-not-utf8", "outdir-is-file",
-        "outdir-under-file", "archive-is-directory", "csv-is-directory"])
+        "config-is-directory", "config-not-utf8", "config-bom-not-utf8",
+        "outdir-is-file", "outdir-under-file", "archive-is-directory",
+        "csv-is-directory"])
     def test_unusable_path_exit_two(self, tmp_path, capsys, monkeypatch,
                                     case):
         monkeypatch.setattr(bench, "simulate_cell", never_simulate)
@@ -634,6 +645,8 @@ class TestCli:
             config = tmp_path
         elif case == "config-not-utf8":
             config.write_bytes(b"frame_length = 512\n# \xff\xfe\n")
+        elif case == "config-bom-not-utf8":
+            config.write_bytes(b"\xef\xbb\xbfframe_length = 512\n# \xff\n")
         elif case == "outdir-is-file":
             out = afile
         elif case == "outdir-under-file":
@@ -697,6 +710,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: MemoryError: "), err
         assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("length", ["0", "1"])
+    def test_short_frame_length_names_its_key(self, tmp_path, capsys,
+                                              length):
+        # the pilot-interval rule would fail too, naming the wrong key
+        (tmp_path / "run.txt").write_text(f"frame_length = {length}\n")
+        out = tmp_path / "out"
+        code = main(["ser-sweep", "--config", str(tmp_path / "run.txt"),
+                     "--outdir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: frame_length must be >= 2, got {length}\n")
+        assert not out.exists()
 
     def test_bad_override_exit_two(self, capsys):
         code = main(["ser-sweep", "--snr", "ten"])

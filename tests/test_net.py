@@ -33,6 +33,9 @@ from plasmalink.net import (
     init_adam,
     init_model,
     loss_and_gradients,
+    mlp_backward,
+    mlp_forward,
+    mlp_input,
     mlp_layers,
     mlp_order,
     param_count,
@@ -454,6 +457,94 @@ class TestWorkspaces:
             loss_and_gradients(model, y, w)
         after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         assert after - before < 20
+
+    # bytes a Batch holds (x, u and w, then every buffer of its workspaces,
+    # each counted once) per (bits per symbol, cells, rows): QPSK frame
+    # rows, a group's frame rows and its pilot rows, 16-PSK frame rows
+    FROZEN_BATCH_BYTES = {(2, 1, 4096): 2999734, (2, 4, 1024): 1119670,
+                          (2, 4, 64): 193240, (4, 1, 1024): 2929474}
+
+    @staticmethod
+    def held_bytes(batch):
+        owners = {}
+
+        def hold(a):
+            if isinstance(a, (list, tuple)):
+                for item in a:
+                    hold(item)
+            elif isinstance(a, np.ndarray):
+                while a.base is not None:
+                    a = a.base
+                owners[id(a)] = a
+
+        hold([batch.x, batch.u, batch.w])
+        for _, ws in batch.passes:
+            hold(list(vars(ws).values()))
+        return sum(a.nbytes for a in owners.values())
+
+    @pytest.mark.parametrize("bits, cells, rows", sorted(FROZEN_BATCH_BYTES))
+    def test_batch_bytes_match_frozen(self, bits, cells, rows):
+        model = init_model(build_constellation(bits), rng_seed=0)
+        y = np.zeros((rows, 2))
+        if cells > 1:
+            model = group_of(model, cells)
+            y = np.zeros((rows, cells, 2))
+        assert self.held_bytes(Batch(model, y)) == \
+            self.FROZEN_BATCH_BYTES[bits, cells, rows]
+
+
+class TestMlpBackward:
+    """mlp_backward writes every gradient into the buffers it is given."""
+
+    # (widths, stack shape): the SMN's K = 4 encoders of one cell, its
+    # decoder over two cells, and the supervised DNN over two cells
+    STACKS = {"smn-encoders": ((2, 4, 1), (1, 4)),
+              "smn-decoder": ((1, 4, 2), (2,)),
+              "dnn": ((2, 16, 16, 4), (2,))}
+
+    @staticmethod
+    def backward(widths, lead, first=True, rows=32):
+        """A fresh forward and backward pass of a random stack; returns
+        (the result, the gradient, the input-gradient buffers, the
+        forward cache before backward spent it)."""
+        rng = np.random.default_rng(70)
+        layers = mlp_layers(widths, rng.normal(
+            scale=0.5, size=lead + (param_count(widths),)))
+        out, cache = mlp_forward(
+            layers, mlp_input(rng.normal(size=lead + (widths[0], rows))))
+        kept = [np.copy(a) for a in cache]
+        grad = np.full(lead + (param_count(widths),), np.nan)
+        g_ins = [np.full(lead + (w, rows), np.nan) for w in widths[:-1]]
+        if not first:
+            g_ins[0] = None
+        got = mlp_backward(layers, cache, rng.normal(size=out.shape),
+                           mlp_layers(widths, grad), g_ins)
+        return got, grad, g_ins, kept
+
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_none_first_buffer_skips_input_gradient(self, stack):
+        got, grad, _, _ = self.backward(*self.STACKS[stack], first=False)
+        _, want, _, _ = self.backward(*self.STACKS[stack])
+        assert got is None
+        np.testing.assert_array_equal(grad, want)
+
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_returns_first_buffer(self, stack):
+        got, _, g_ins, _ = self.backward(*self.STACKS[stack])
+        assert got is g_ins[0] and np.isfinite(got).all()
+
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_hidden_gradients_land_in_their_buffers(self, stack):
+        # the gradient at a hidden layer's tanh input is what that
+        # layer's weight gradient was formed from
+        widths, lead = self.STACKS[stack]
+        _, grad, g_ins, kept = self.backward(widths, lead, first=False)
+        grads = mlp_layers(widths, grad)
+        for idx in range(1, len(widths) - 1):
+            assert np.isfinite(g_ins[idx]).all()
+            np.testing.assert_allclose(g_ins[idx] @ kept[idx - 1].mT,
+                                       grads[idx - 1], rtol=1e-13,
+                                       atol=1e-15)
 
 
 def group_of(model, cells):
