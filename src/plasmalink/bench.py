@@ -23,7 +23,7 @@ on the worker count.
 from __future__ import annotations
 
 import csv
-import os
+import inspect
 import re
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -84,6 +84,9 @@ __all__ = [
 ]
 
 RECEIVER_NAMES = ("smn", "genie_ml", "pilot_interp_ml", "supervised_dnn")
+# each channel key's default: the reference operating point
+_REFERENCE = {name: p.default for name, p
+              in inspect.signature(reference_channel_params).parameters.items()}
 
 
 @dataclass(frozen=True)
@@ -97,24 +100,25 @@ class ExperimentConfig:
     build_channel runs.
     """
 
-    # channel
-    carrier_freq_hz: float = 9e9
-    collision_freq_hz: float = 20e9
-    frequencies_are_angular: bool = False
-    n_e_min: float = 1e22
-    n_e_max: float = 6e23
-    sheath_thickness_m: float | None = None  # None: calibrate to gain_floor
-    gain_floor: float = 0.05
-    standard_drude_loss: bool = False
-    # density trajectory
-    profile: str = "sinusoid"
-    oscillation_freq_hz: float = 20e3
-    phase_offset_rad: float = 0.0
-    symbol_rate_hz: float = 1e6
-    constant_level: float | None = None
+    # channel (reference_channel_params); a None thickness is calibrated
+    # to gain_floor
+    carrier_freq_hz: float = _REFERENCE["carrier_freq_hz"]
+    collision_freq_hz: float = _REFERENCE["collision_freq_hz"]
+    frequencies_are_angular: bool = _REFERENCE["frequencies_are_angular"]
+    n_e_min: float = _REFERENCE["n_e_min"]
+    n_e_max: float = _REFERENCE["n_e_max"]
+    sheath_thickness_m: float | None = _REFERENCE["sheath_thickness_m"]
+    gain_floor: float = _REFERENCE["gain_floor"]
+    standard_drude_loss: bool = _REFERENCE["standard_drude_loss"]
+    # density trajectory (DensityTrajectory, with frame_length)
+    profile: str = DensityTrajectory.profile
+    oscillation_freq_hz: float = DensityTrajectory.oscillation_freq_hz
+    phase_offset_rad: float = DensityTrajectory.phase_offset_rad
+    symbol_rate_hz: float = DensityTrajectory.symbol_rate_hz
+    constant_level: float | None = DensityTrajectory.constant_level
     # link
     bits_per_symbol: int = 2
-    frame_length: int = 4096
+    frame_length: int = DensityTrajectory.frame_length
     pilot_intervals: tuple = (256,)
     snr_db: tuple = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0)
     snr_reference: str = "transmit"  # or "received": mean received energy
@@ -169,14 +173,16 @@ class ExperimentConfig:
             raise ConfigError(f"pilot intervals {bad} outside "
                               f"2..frame_length ({self.frame_length})")
         # built only so that their own field checks run now
-        DensityTrajectory(profile_kind=self.profile)
+        DensityTrajectory(profile=self.profile)
         build_constellation(self.bits_per_symbol)
         self.schedule()
         self.dnn_config()
 
     def _settings(self, kind):
-        """The settings object ``kind`` whose every field is a config key."""
-        return kind(**{f.name: getattr(self, f.name) for f in fields(kind)})
+        """The settings ``kind`` (a class or function) builds from the
+        config keys that name its every parameter."""
+        return kind(**{name: getattr(self, name)
+                       for name in inspect.signature(kind).parameters})
 
     def schedule(self) -> EmSchedule:
         return self._settings(EmSchedule)
@@ -185,8 +191,7 @@ class ExperimentConfig:
         return self._settings(DnnTrainConfig)
 
     def resolve_out_dir(self) -> Path:
-        out = self.out_dir or os.environ.get("PLASMALINK_OUTDIR", ".")
-        path = Path(out)
+        path = Path(self.out_dir)  # "" is the working directory
         try:
             path.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -338,50 +343,21 @@ def _open_study(config: ExperimentConfig, artifacts):
 # channel and cell plumbing
 
 
-# the config key of each channel or trajectory field whose physics name
-# differs, as a physics error names the field
-_CHANNEL_KEYS = {
-    "carrier_angular_freq": "carrier_freq_hz",
-    "collision_angular_freq": "collision_freq_hz",
-    "sheath_thickness": "sheath_thickness_m",
-    "density_range": "n_e_min and n_e_max",
-    "oscillation_freq": "oscillation_freq_hz",
-    "phase_offset": "phase_offset_rad",
-    "symbol_rate": "symbol_rate_hz",
-}
-
-
 def build_channel(config: ExperimentConfig):
     """Channel params (calibrating z if unset) and the gain sequence.
 
-    The physics checks the channel and trajectory fields here; its
-    ConfigError is raised again with each field named by its config key.
-    Values that pass but leave floating-point range (a carrier of 1e300 Hz
-    squares to inf, one of 1e-300 Hz to 0) raise ConfigError too. The
-    studies build the channel before they write any file.
+    reference_channel_params and DensityTrajectory take the channel and
+    trajectory keys of the config and check them here, so a ConfigError
+    names its key. Values that pass but leave floating-point range (a
+    carrier of 1e300 Hz squares to inf) raise ConfigError too. The studies
+    build the channel before they write any file.
     """
     with np.errstate(all="ignore"):
         try:
-            params = reference_channel_params(
-                carrier_freq=config.carrier_freq_hz,
-                collision_freq=config.collision_freq_hz,
-                density_range=(config.n_e_min, config.n_e_max),
-                sheath_thickness=config.sheath_thickness_m,
-                frequencies_are_angular=config.frequencies_are_angular,
-                standard_drude_loss=config.standard_drude_loss,
-                gain_floor=config.gain_floor)
-            traj = DensityTrajectory(
-                profile_kind=config.profile,
-                oscillation_freq=config.oscillation_freq_hz,
-                phase_offset=config.phase_offset_rad,
-                length=config.frame_length, symbol_rate=config.symbol_rate_hz,
-                constant_level=config.constant_level)
+            params = config._settings(reference_channel_params)
+            traj = config._settings(DensityTrajectory)
             gains = channel_gain(density_trajectory(traj, params), params)
-        except ConfigError as exc:
-            raise ConfigError(" ".join(_CHANNEL_KEYS.get(word, word)
-                                       for word in str(exc).split(" "))
-                              ) from None
-        except (OverflowError, ZeroDivisionError):
+        except OverflowError:
             raise ConfigError("carrier_freq_hz or collision_freq_hz takes the "
                               "channel physics out of float range") from None
     if not np.all(np.isfinite(gains)):
@@ -640,7 +616,9 @@ def run_ser_sweep(config: ExperimentConfig):
                     else:
                         failures.append(f"trial {trial}: {stats}")
                 status = "ok" if not failures else "; ".join(failures)
-                util = 1.0 - 1.0 / interval
+                # the pilots link.build_frame puts at 0, interval, ...
+                pilots = len(range(0, config.frame_length, interval))
+                util = 1.0 - pilots / config.frame_length
                 records.append({
                     "receiver": receiver, "snr_db": snr,
                     "pilot_interval": interval, "trials": config.trials,

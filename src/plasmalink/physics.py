@@ -10,17 +10,20 @@ Unit conventions
 Everything internal is SI: densities in m^-3, angular frequencies in rad/s,
 lengths in m. The reference operating point uses a 9 GHz carrier and a
 20 GHz electron-neutral collision rate, both read as ordinary frequencies
-and converted to angular ones (a flag in the bench config layer flips that
-interpretation). Densities quoted per cm^3 must be converted by the caller
-(config layer accepts an explicit per-cm^3 suffix).
+and converted to angular ones (``frequencies_are_angular`` reads them as
+rad/s). Densities quoted per cm^3 must be converted by the caller (config
+layer accepts an explicit per-cm^3 suffix). The fields and parameters of
+ChannelParams, DensityTrajectory and reference_channel_params are named by
+the config keys that set them.
 
 Two forms of the dielectric loss term are supported. The default
 ("printed") uses a ``nu**2 / omega`` loss numerator; ``standard_drude_loss``
 switches to the textbook Drude ``nu / omega`` form. The attenuation /
 phase closed forms and the square-root route are kept consistent with
 whichever form is selected, so the cross-check between them is valid under
-both. All functions are pure and accept scalars or numpy arrays. They read
-the physical constants from the module constant CODATA and take no others.
+both. All functions are pure and accept scalars or numpy arrays; a scalar
+density gives a NumPy scalar. They read the physical constants from the
+module constant CODATA and take no others.
 """
 
 from __future__ import annotations
@@ -64,38 +67,58 @@ CODATA = PhysicalConstants()
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Plasma-sheath channel configuration; a bad value raises ConfigError.
+    """Plasma-sheath channel configuration, each field named by its config
+    key; a bad value raises ConfigError naming it.
 
     Parameters
     ----------
-    carrier_angular_freq : float
-        Carrier angular frequency, rad/s. Finite and strictly positive.
-    collision_angular_freq : float
-        Electron-neutral collision angular frequency, rad/s. Finite, >= 0.
-    sheath_thickness : float
+    carrier_freq_hz, collision_freq_hz : float
+        Carrier and electron-neutral collision frequencies in Hz, or in
+        rad/s if ``frequencies_are_angular``. The formulas read them as
+        the properties ``carrier_angular_freq`` (finite, > 0) and
+        ``collision_angular_freq`` (finite, >= 0), in rad/s.
+    sheath_thickness_m : float
         Slab thickness z in meters. Finite and strictly positive.
-    density_range : (float, float)
-        Inclusive electron-density range [n_min, n_max] in m^-3 with
-        0 < n_min <= n_max < inf.
+    n_e_min, n_e_max : float
+        Inclusive electron-density range in m^-3 (the property
+        ``density_range``) with 0 < n_e_min <= n_e_max < inf.
     standard_drude_loss : bool
         Use the standard Drude loss numerator instead of the printed form.
     """
 
-    carrier_angular_freq: float
-    collision_angular_freq: float
-    sheath_thickness: float
-    density_range: tuple[float, float]
+    carrier_freq_hz: float
+    collision_freq_hz: float
+    sheath_thickness_m: float
+    n_e_min: float
+    n_e_max: float
     standard_drude_loss: bool = False
+    frequencies_are_angular: bool = False
 
     def __post_init__(self):
         if not 0 < self.carrier_angular_freq < math.inf:
-            raise ConfigError("carrier_angular_freq must be finite and > 0")
+            raise ConfigError("carrier_freq_hz must be finite and > 0")
         if not 0 <= self.collision_angular_freq < math.inf:
-            raise ConfigError("collision_angular_freq must be finite and >= 0")
-        check_fields(self, positive=("sheath_thickness",))
-        n_min, n_max = self.density_range
-        if not 0 < n_min <= n_max < math.inf:
-            raise ConfigError("density_range must satisfy 0 < n_min <= n_max < inf")
+            raise ConfigError("collision_freq_hz must be finite and >= 0")
+        check_fields(self, positive=("sheath_thickness_m",))
+        if not 0 < self.n_e_min <= self.n_e_max < math.inf:
+            raise ConfigError(
+                "n_e_min and n_e_max must satisfy 0 < n_min <= n_max < inf")
+
+    @property
+    def carrier_angular_freq(self) -> float:
+        return self._radians_per_cycle * self.carrier_freq_hz
+
+    @property
+    def collision_angular_freq(self) -> float:
+        return self._radians_per_cycle * self.collision_freq_hz
+
+    @property
+    def _radians_per_cycle(self) -> float:
+        return 1.0 if self.frequencies_are_angular else 2.0 * math.pi
+
+    @property
+    def density_range(self) -> tuple[float, float]:
+        return self.n_e_min, self.n_e_max
 
 
 @dataclass(frozen=True)
@@ -104,24 +127,26 @@ class DensityTrajectory:
 
     ``constant_level`` applies only to the constant profile and defaults to
     the midpoint of the channel's density range. A bad field raises
-    ConfigError, here or (if the check depends on the profile) in
+    ConfigError naming it, here or (if the check depends on the profile) in
     density_trajectory.
     """
 
-    profile_kind: str = "sinusoid"   # sinusoid | linear_sweep | constant
-    oscillation_freq: float = 20e3   # Hz, sinusoid only
-    phase_offset: float = 0.0        # rad, sinusoid only
-    length: int = 4096
-    symbol_rate: float = 1e6         # Hz
+    profile: str = "sinusoid"          # sinusoid | linear_sweep | constant
+    oscillation_freq_hz: float = 20e3  # sinusoid only
+    phase_offset_rad: float = 0.0      # sinusoid only
+    frame_length: int = 4096
+    symbol_rate_hz: float = 1e6
     constant_level: float | None = None
 
     def __post_init__(self):
-        if self.profile_kind not in ("sinusoid", "linear_sweep", "constant"):
-            raise ConfigError(f"unknown density profile {self.profile_kind!r}")
-        check_fields(self, at_least=(("length", 1),),
-                     positive=("symbol_rate",))
-        if not np.all(np.isfinite([self.oscillation_freq, self.phase_offset])):
-            raise ConfigError("oscillation_freq and phase_offset must be finite")
+        if self.profile not in ("sinusoid", "linear_sweep", "constant"):
+            raise ConfigError(f"unknown density profile {self.profile!r}")
+        check_fields(self, at_least=(("frame_length", 1),),
+                     positive=("symbol_rate_hz",))
+        if not np.all(np.isfinite([self.oscillation_freq_hz,
+                                   self.phase_offset_rad])):
+            raise ConfigError(
+                "oscillation_freq_hz and phase_offset_rad must be finite")
 
 
 def plasma_frequency(n_e):
@@ -131,7 +156,7 @@ def plasma_frequency(n_e):
         raise ValueError("electron density must be >= 0")
     out = np.sqrt(n_e * CODATA.electron_charge**2
                   / (CODATA.vacuum_permittivity * CODATA.electron_mass))
-    return out if out.ndim else float(out)
+    return out[()]
 
 
 def _loss_factor(params: ChannelParams) -> float:
@@ -147,11 +172,9 @@ def dielectric_coefficient(n_e, params: ChannelParams):
     Real part ``1 - wp^2/(w^2 + nu^2)``; imaginary part is the negative
     loss term (zero loss only at zero density or zero collision rate).
     """
-    n_e = np.asarray(n_e, dtype=float)
     wp2 = plasma_frequency(n_e) ** 2
     x = wp2 / (params.carrier_angular_freq**2 + params.collision_angular_freq**2)
-    out = np.asarray((1.0 - x) - 1j * _loss_factor(params) * x, dtype=complex)
-    return out if n_e.ndim else complex(out)
+    return (1.0 - x) - 1j * _loss_factor(params) * x
 
 
 def attenuation_phase_coefficients(n_e, params: ChannelParams):
@@ -166,16 +189,14 @@ def attenuation_phase_coefficients(n_e, params: ChannelParams):
     where ``re`` and ``im`` are the real part and (magnitude of the)
     imaginary part of the dielectric coefficient.
     """
-    eps = np.asarray(dielectric_coefficient(n_e, params))
+    eps = dielectric_coefficient(n_e, params)
     re, im = eps.real, -eps.imag
     mag = np.hypot(re, im)
     scale = params.carrier_angular_freq / (math.sqrt(2.0) * CODATA.light_speed)
     # Clip: mag - re and mag + re are >= 0 analytically; rounding can dip below.
     alpha = scale * np.sqrt(np.maximum(mag - re, 0.0))
     beta = scale * np.sqrt(np.maximum(mag + re, 0.0))
-    if alpha.ndim:
-        return alpha, beta
-    return float(alpha), float(beta)
+    return alpha, beta
 
 
 def propagation_vector(n_e, params: ChannelParams):
@@ -185,26 +206,20 @@ def propagation_vector(n_e, params: ChannelParams):
     ``k = beta - j alpha`` always has alpha >= 0 (the decaying branch under
     the ``exp(-j k z)`` convention). Cross-checks the closed forms above.
     """
-    scalar = np.asarray(n_e).ndim == 0
-    eps = np.asarray(dielectric_coefficient(n_e, params),
-                     dtype=complex)
-    root = np.sqrt(eps)
+    root = np.sqrt(dielectric_coefficient(n_e, params))
     root = np.where(root.imag > 0, -root, root)
-    out = params.carrier_angular_freq / CODATA.light_speed * root
-    return complex(out) if scalar else out
+    return (params.carrier_angular_freq / CODATA.light_speed * root)[()]
 
 
 def channel_gain(n_e, params: ChannelParams):
     """Complex baseband channel gain ``exp(-alpha z) exp(-j beta z)``."""
-    scalar = np.asarray(n_e).ndim == 0
     alpha, beta = attenuation_phase_coefficients(n_e, params)
-    z = params.sheath_thickness
-    out = np.exp(-np.asarray(alpha) * z) * np.exp(-1j * np.asarray(beta) * z)
-    return complex(out) if scalar else out
+    z = params.sheath_thickness_m
+    return np.exp(-alpha * z) * np.exp(-1j * beta * z)
 
 
 def density_trajectory(traj: DensityTrajectory, params: ChannelParams):
-    """Electron-density sequence (m^-3) of length ``traj.length``.
+    """Electron-density sequence (m^-3) of length ``traj.frame_length``.
 
     sinusoid      midpoint + half-span * sin(2 pi f t + phase); sweeps the
                   full density range once per oscillation period.
@@ -212,8 +227,8 @@ def density_trajectory(traj: DensityTrajectory, params: ChannelParams):
     constant      constant_level (midpoint of the range when unset).
     """
     n_min, n_max = params.density_range
-    m = traj.length
-    if traj.profile_kind == "constant":
+    m = traj.frame_length
+    if traj.profile == "constant":
         level = traj.constant_level
         if level is None:
             level = 0.5 * (n_min + n_max)
@@ -222,16 +237,17 @@ def density_trajectory(traj: DensityTrajectory, params: ChannelParams):
                 f"constant_level {level:g} outside density range "
                 f"[{n_min:g}, {n_max:g}]")
         return np.full(m, float(level))
-    if traj.profile_kind == "linear_sweep":
+    if traj.profile == "linear_sweep":
         return np.linspace(n_min, n_max, m)
     # sinusoid
-    if traj.oscillation_freq <= 0:
-        raise ConfigError("oscillation_freq must be > 0 for the sinusoid profile")
-    t = np.arange(m) / traj.symbol_rate
+    if traj.oscillation_freq_hz <= 0:
+        raise ConfigError(
+            "oscillation_freq_hz must be > 0 for the sinusoid profile")
+    t = np.arange(m) / traj.symbol_rate_hz
     mid = 0.5 * (n_min + n_max)
     half = 0.5 * (n_max - n_min)
-    n_e = mid + half * np.sin(2.0 * math.pi * traj.oscillation_freq * t
-                              + traj.phase_offset)
+    n_e = mid + half * np.sin(2.0 * math.pi * traj.oscillation_freq_hz * t
+                              + traj.phase_offset_rad)
     # sin is bounded but rounding may overshoot the range by ~1 ulp
     return np.clip(n_e, n_min, n_max)
 
@@ -251,37 +267,34 @@ def calibrate_sheath_thickness(params: ChannelParams,
     alpha(n_max)``. Returns a copy of ``params`` with that thickness.
     """
     _check_gain_floor(gain_floor)
-    alpha_max, _ = attenuation_phase_coefficients(params.density_range[1],
-                                                  params)
+    alpha_max, _ = attenuation_phase_coefficients(params.n_e_max, params)
     if not 0 < alpha_max < math.inf:
         raise ConfigError(f"cannot calibrate z: alpha(n_max) = {alpha_max:g}")
-    return replace(params, sheath_thickness=-math.log(gain_floor) / alpha_max)
+    return replace(params,
+                   sheath_thickness_m=float(-math.log(gain_floor) / alpha_max))
 
 
-def reference_channel_params(carrier_freq: float = 9e9,
-                             collision_freq: float = 20e9,
-                             density_range: tuple[float, float] = (1e22, 6e23),
-                             sheath_thickness: float | None = None,
+def reference_channel_params(carrier_freq_hz: float = 9e9,
+                             collision_freq_hz: float = 20e9,
+                             n_e_min: float = 1e22,
+                             n_e_max: float = 6e23,
+                             sheath_thickness_m: float | None = None,
                              frequencies_are_angular: bool = False,
                              standard_drude_loss: bool = False,
                              gain_floor: float = 0.05) -> ChannelParams:
-    """Channel parameters at the reference operating point.
+    """Channel parameters at the reference operating point. Each argument
+    is the config key of its name, and its default is that key's default.
 
-    ``carrier_freq`` and ``collision_freq`` are ordinary frequencies in Hz
-    converted to angular ones unless ``frequencies_are_angular`` is set
-    (in which case they are taken as rad/s verbatim). Densities are m^-3.
-    When ``sheath_thickness`` is None the thickness is calibrated so the
-    deepest fade has magnitude ``gain_floor``, which must lie in (0, 1).
+    The frequencies are in Hz unless ``frequencies_are_angular`` (rad/s);
+    densities are m^-3. When ``sheath_thickness_m`` is None the thickness
+    is calibrated so the deepest fade has magnitude ``gain_floor``, which
+    must lie in (0, 1).
     """
     _check_gain_floor(gain_floor)
-    factor = 1.0 if frequencies_are_angular else 2.0 * math.pi
     params = ChannelParams(
-        carrier_angular_freq=factor * carrier_freq,
-        collision_angular_freq=factor * collision_freq,
-        sheath_thickness=1.0 if sheath_thickness is None else sheath_thickness,
-        density_range=density_range,
-        standard_drude_loss=standard_drude_loss,
-    )
-    if sheath_thickness is None:
+        carrier_freq_hz, collision_freq_hz,
+        1.0 if sheath_thickness_m is None else sheath_thickness_m,
+        n_e_min, n_e_max, standard_drude_loss, frequencies_are_angular)
+    if sheath_thickness_m is None:
         params = calibrate_sheath_thickness(params, gain_floor)
     return params

@@ -363,6 +363,18 @@ class TestSerSweep:
         assert util == 255 / 256
         assert abs(util - 0.996) < 1e-3
 
+    def test_utilization_counts_the_short_last_interval(self, tmp_path):
+        # 100 symbols at interval 16 carry pilots at 0, 16, ..., 96: 7 of
+        # them, so 93 payload symbols, where 1 - 1/16 would claim 0.9375
+        config = ExperimentConfig(frame_length=100, pilot_intervals=(16,),
+                                  snr_db=(10.0,), trials=1,
+                                  receivers=("genie_ml",),
+                                  out_dir=str(tmp_path))
+        (record,) = run_ser_sweep(config)
+        assert record["payload_symbols"] == 93
+        assert record["bandwidth_utilization"] == 1 - 7 / 100
+        assert record["bandwidth_utilization"] == pytest.approx(0.93)
+
     def test_failed_cell_recorded_not_raised(self, tmp_path):
         # Interval = frame length leaves a single pilot: the interpolator
         # needs two, so its cell fails while the genie's still runs.

@@ -139,8 +139,9 @@ class TestAttenuationPhase:
 
 class TestChannelGain:
     def test_lossless_magnitude(self):
-        params = ChannelParams(OMEGA, NU, sheath_thickness=123.0,
-                               density_range=(1e22, 6e23))
+        params = ChannelParams(OMEGA, NU, sheath_thickness_m=123.0,
+                               n_e_min=1e22, n_e_max=6e23,
+                               frequencies_are_angular=True)
         assert abs(channel_gain(0.0, params)) == 1.0
 
     def test_deep_fade_near_zero(self, params):
@@ -149,7 +150,8 @@ class TestChannelGain:
 
     def test_thickness_composition(self, params):
         from dataclasses import replace
-        double = replace(params, sheath_thickness=2 * params.sheath_thickness)
+        double = replace(params,
+                         sheath_thickness_m=2 * params.sheath_thickness_m)
         g1 = channel_gain(3e22, params)
         g2 = channel_gain(3e22, double)
         assert g2 == pytest.approx(g1**2, rel=1e-12)
@@ -181,26 +183,26 @@ class TestChannelGain:
 
 class TestDensityTrajectory:
     def test_constant(self, params):
-        traj = DensityTrajectory(profile_kind="constant", length=4,
+        traj = DensityTrajectory(profile="constant", frame_length=4,
                                  constant_level=params.density_range[0])
         out = density_trajectory(traj, params)
         assert out.shape == (4,)
         assert np.all(out == params.density_range[0])
 
     def test_constant_default_midpoint(self, params):
-        traj = DensityTrajectory(profile_kind="constant", length=2)
+        traj = DensityTrajectory(profile="constant", frame_length=2)
         out = density_trajectory(traj, params)
         assert out[0] == pytest.approx(0.5 * sum(params.density_range))
 
     def test_sinusoid_starts_at_midpoint(self, params):
-        traj = DensityTrajectory(profile_kind="sinusoid", phase_offset=0.0,
-                                 length=100)
+        traj = DensityTrajectory(profile="sinusoid", phase_offset_rad=0.0,
+                                 frame_length=100)
         out = density_trajectory(traj, params)
         assert out[0] == pytest.approx(0.5 * sum(params.density_range))
 
     def test_sinusoid_within_range_and_sweeps(self, params):
         # one full period: 1e6 / 20e3 = 50 samples
-        traj = DensityTrajectory(profile_kind="sinusoid", length=4096)
+        traj = DensityTrajectory(profile="sinusoid", frame_length=4096)
         out = density_trajectory(traj, params)
         n_min, n_max = params.density_range
         span = n_max - n_min
@@ -209,20 +211,20 @@ class TestDensityTrajectory:
         assert out.min() < n_min + 0.01 * span
 
     def test_linear_sweep_endpoints(self, params):
-        traj = DensityTrajectory(profile_kind="linear_sweep", length=64)
+        traj = DensityTrajectory(profile="linear_sweep", frame_length=64)
         out = density_trajectory(traj, params)
         assert out[0] == params.density_range[0]
         assert out[-1] == params.density_range[1]
 
     def test_bad_oscillation_freq(self, params):
-        traj = DensityTrajectory(profile_kind="sinusoid", oscillation_freq=0.0,
-                                 length=8)
+        traj = DensityTrajectory(profile="sinusoid",
+                                 oscillation_freq_hz=0.0, frame_length=8)
         with pytest.raises(ConfigError):
             density_trajectory(traj, params)
 
     def test_bad_profile(self):
         with pytest.raises(ConfigError):
-            DensityTrajectory(profile_kind="random_walk")
+            DensityTrajectory(profile="random_walk")
 
 
 class TestCalibration:
@@ -239,13 +241,13 @@ class TestCalibration:
                                           gain_floor=floor)
         n_max = params.density_range[1]
         alpha, _ = attenuation_phase_coefficients(n_max, params)
-        assert params.sheath_thickness == -math.log(floor) / alpha
+        assert params.sheath_thickness_m == -math.log(floor) / alpha
         assert abs(channel_gain(n_max, params)) == pytest.approx(
             floor, rel=0, abs=1e-14)
 
     def test_explicit_thickness_respected(self):
-        params = reference_channel_params(sheath_thickness=1e-9)
-        assert params.sheath_thickness == 1e-9
+        params = reference_channel_params(sheath_thickness_m=1e-9)
+        assert params.sheath_thickness_m == 1e-9
 
     def test_angular_flag(self):
         p = reference_channel_params(frequencies_are_angular=True)
@@ -258,15 +260,15 @@ class TestValidation:
     """The physics is the one layer that checks the channel fields."""
 
     @pytest.mark.parametrize("kwargs", [
-        dict(sheath_thickness=0.0),
-        dict(sheath_thickness=math.inf),
-        dict(carrier_freq=math.nan),
-        dict(collision_freq=math.inf),
-        dict(density_range=(1e22, math.inf)),
-        dict(density_range=(math.nan, 6e23)),
-        dict(density_range=(1e22, 1.7e308)),
-        dict(gain_floor=1.5, sheath_thickness=1e-3),
-        dict(gain_floor=math.nan, sheath_thickness=1e-3),
+        dict(sheath_thickness_m=0.0),
+        dict(sheath_thickness_m=math.inf),
+        dict(carrier_freq_hz=math.nan),
+        dict(collision_freq_hz=math.inf),
+        dict(n_e_max=math.inf),
+        dict(n_e_min=math.nan),
+        dict(n_e_max=1.7e308),
+        dict(gain_floor=1.5, sheath_thickness_m=1e-3),
+        dict(gain_floor=math.nan, sheath_thickness_m=1e-3),
     ], ids=["zero-thickness", "inf-thickness", "nan-carrier",
             "inf-collision", "inf-density", "nan-density",
             "attenuation-overflows",
@@ -276,14 +278,18 @@ class TestValidation:
         with pytest.raises(ConfigError), np.errstate(all="ignore"):
             reference_channel_params(**kwargs)
 
-    @pytest.mark.parametrize("field", ["symbol_rate", "oscillation_freq",
-                                       "phase_offset"])
+    @pytest.mark.parametrize("field", ["symbol_rate_hz",
+                                       "oscillation_freq_hz",
+                                       "phase_offset_rad"],
+                             ids=["symbol_rate", "oscillation_freq",
+                                  "phase_offset"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_trajectory_rejects_non_finite(self, field, value):
         with pytest.raises(ConfigError):
             DensityTrajectory(**{field: value})
 
     def test_trajectory_length_names_its_value(self):
-        with pytest.raises(ConfigError, match="^length must be >= 1, got 0$"):
-            DensityTrajectory(length=0)
+        with pytest.raises(ConfigError,
+                           match="^frame_length must be >= 1, got 0$"):
+            DensityTrajectory(frame_length=0)
 
