@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import pilot_weights
+from .em import EmSchedule, pilot_weights
 from .exceptions import ConfigError, check_fields
 from .link import Constellation, Frame, ReceivedSequence
 from .net import (
@@ -91,7 +91,7 @@ class DnnTrainConfig:
     dnn_hidden: int = 16
     dnn_steps: int = 2000
     dnn_learning_rate: float = 1e-3
-    init_std: float = 0.1
+    init_std: float = EmSchedule.init_std  # one config key seeds both nets
 
     def __post_init__(self):
         check_fields(self, at_least=(("dnn_steps", 0), ("dnn_hidden", 1)),

@@ -418,7 +418,7 @@ def simulate_cell(config: ExperimentConfig, gains: np.ndarray,
 # Cells per lockstep group. Every cell of one pilot interval has the same
 # shapes, so up to this many train as one stack (em.fit, supervised_dnn).
 # Picked by timing sweep-mix and a default-grid sweep at 2, 4 and 8 (see
-# README). Frame-sized SMN passes still run a cell at a time
+# CHANGES.md). Frame-sized SMN passes still run a cell at a time
 # (net.PASS_COLUMNS); what grows with the group is its frame Batch and its
 # E-step arrays. The traced peak of a warm QPSK fit of 4096 frame rows
 # read 3.42 / 4.38 / 6.28 / 10.09 MiB for groups of 1 / 2 / 4 / 8 cells,

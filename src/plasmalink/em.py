@@ -19,15 +19,13 @@ The evidence lower bound
 
 must never decrease across an E-step (the E-step zeroes the KL gap), which
 fitting() checks before it yields each state of a run; a violation means
-the posterior or the likelihood is wrong and raises immediately. Every
-state pairs a model with its own E-step posterior, and fit() stops at the
-schedule's em_iterations-th E-step, so no M-step runs that no decision
-reads. Stopping after any E-step is sound, since every E-step and every
-M-step raises the bound (Neal & Hinton, 1998).
+the posterior or the likelihood is wrong and raises immediately. fitting()
+says how its states pair models and posteriors; fit(), where it stops.
 """
 
 from __future__ import annotations
 
+import inspect
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -85,6 +83,9 @@ NOISE_VARIANCE_FLOOR = 1e-6
 # points of the coordinate grid every learned-curve output is drawn on
 CURVE_GRID_POINTS = 201
 
+# the width and init scale defaults are net.init_model's
+_INIT = inspect.signature(init_model).parameters
+
 
 @dataclass(frozen=True)
 class EmSchedule:
@@ -95,8 +96,8 @@ class EmSchedule:
     em_iterations: int = 10
     mstep_steps: int = 100
     learning_rate: float = 1e-3
-    hidden_units: int = 4
-    init_std: float = 0.1
+    hidden_units: int = _INIT["hidden_units"].default
+    init_std: float = _INIT["init_std"].default
 
     def __post_init__(self):
         check_fields(self, at_least=(
@@ -357,7 +358,8 @@ def fitting(received, frames, constellation: Constellation,
     of received sequences, frames and seeds) and yields a GroupFit after
     pretraining (iteration 0) and after every EM iteration, each FitResult
     with its own copy of its cell's model and posterior, (m, K), and its
-    trace so far; it runs until its caller stops. A group trains in
+    trace so far, until its caller stops, which is sound at any state: every
+    E- and M-step raises the bound (Neal & Hinton, 1998). A group trains in
     lockstep: its C x K encoders run as one stack and its C decoders as
     another, and each cell's numbers are those of fitting it alone.
 

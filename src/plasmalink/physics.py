@@ -258,7 +258,7 @@ def _check_gain_floor(gain_floor: float) -> None:
 
 
 def calibrate_sheath_thickness(params: ChannelParams,
-                               gain_floor: float = 0.05) -> ChannelParams:
+                               gain_floor: float) -> ChannelParams:
     """Slab thickness at which min |gain| over the density range = gain_floor.
 
     |gain| is monotone nonincreasing in density at the reference operating

@@ -1,12 +1,20 @@
 """Every ```python block of README.md runs as written, and its "CSV
-schemas" table gives the schema line and header row of every artifact."""
+schemas" table gives the schema line and header row of every artifact.
+Its `plasmalink ...` shell lines parse, its key table lists every config
+key, and every package name it cites exists."""
 
 import csv
+import dataclasses
+import importlib
+import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+import plasmalink
+from plasmalink import cli
 from plasmalink.bench import (
     ExperimentConfig,
     run_fading_estimation,
@@ -36,6 +44,21 @@ IDS = [section if SECTIONS.count(section) == 1
 # (file, schema, columns) of every row of the CSV schemas table
 SCHEMAS = re.findall(r"^\| `(\w+\.csv)` \| `([^`]+)` \| (.+) \|$", TEXT,
                      re.M)
+# every `plasmalink ...` line of the ```sh blocks, continuations joined
+COMMANDS = [shlex.split(line, comments=True)
+            for block in re.findall(r"^```sh\n(.*?)^```", TEXT, re.S | re.M)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("plasmalink ")]
+# the backticked keys of the first column of the config key table
+KEY_ROWS = re.search(r"^\| key \| default \|.*\n\|[- |]+\n((?:\|.*\n)+)",
+                     TEXT, re.M).group(1).splitlines()
+TABLE_KEYS = [key for row in KEY_ROWS
+              for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+# (module, name) of every backticked `module.name` or
+# `plasmalink.module.name` whose module is one of the package's
+MODULES = {info.name for info in pkgutil.iter_modules(plasmalink.__path__)}
+CITED = sorted({pair for pair in re.findall(
+    r"`(?:plasmalink\.)?(\w+)\.(\w+)`", TEXT) if pair[0] in MODULES})
 
 
 def test_readme_has_python_blocks():
@@ -77,3 +100,32 @@ def test_csv_matches_schema_table(studies, name, schema, columns):
     with (Path(studies.out_dir) / name).open(newline="") as fh:
         assert fh.readline() == f"# schema: {schema}\n"
         assert next(csv.reader(fh)) == header
+
+
+def test_readme_has_shell_commands():
+    assert COMMANDS
+
+
+@pytest.mark.parametrize("argv", COMMANDS,
+                         ids=[" ".join(argv[1:]) for argv in COMMANDS])
+def test_shell_command_parses(argv):
+    args = cli.build_parser().parse_args(argv[1:])
+    # a run subcommand without --config builds its config from its flags;
+    # building it runs no study and makes no directory
+    if getattr(args, "config", "") is None:
+        cli._resolve_config(args)
+
+
+def test_key_table_lists_every_config_key():
+    assert sorted(TABLE_KEYS) == sorted(
+        field.name for field in dataclasses.fields(ExperimentConfig))
+
+
+def test_readme_cites_package_names():
+    assert CITED
+
+
+@pytest.mark.parametrize("module, name", CITED,
+                         ids=[f"{module}.{name}" for module, name in CITED])
+def test_cited_package_name_exists(module, name):
+    assert hasattr(importlib.import_module(f"plasmalink.{module}"), name)
