@@ -10,7 +10,8 @@ Layer map:
     em         pretraining, the EM loop, demodulation, fading extraction
     baselines  genie ML, pilot-interpolation ML, supervised classifier
     bench      experiment configs, seeded studies, CSV artifacts
-    cli        command-line front end over bench
+    checks     the invariant checks of selftest and validate-physics
+    cli        command-line front end over bench and checks
 """
 
 from .baselines import (

@@ -17,31 +17,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
-import numpy as np
-
-from .baselines import genie_ml, qpsk_theory_ser
 from .bench import (
     ExperimentConfig,
-    build_channel,
-    compute_ser,
     load_config_values,
     parse_value,
     run_fading_estimation,
     run_learning_snapshots,
     run_ser_sweep,
-    simulate_cell,
 )
-from .em import demodulate, e_step, elbo, fit, pilot_weights
 from .exceptions import ConfigError
-from .link import build_constellation, build_frame, snr_to_noise_variance, transmit
-from .net import init_model, loss_and_gradients
-from .physics import (
-    attenuation_phase_coefficients,
-    propagation_vector,
-    reference_channel_params,
-)
 
 __all__ = ["main"]
 
@@ -58,12 +43,6 @@ _RUN_FLAGS = (
     ("--receivers", "receivers", "override receiver list, comma-separated"),
     ("--workers", "workers", "override worker count"),
 )
-
-
-def _add_run_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="config file (key = value lines)")
-    for flag, _, text in _RUN_FLAGS:
-        sub.add_argument(flag, help=text)
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -109,138 +88,25 @@ def _cmd_fading(args) -> int:
     return 0
 
 
-_DISPERSION_TOLERANCE = 1e-10  # the largest relative error that passes
-
-
-def _dispersion_error(params, seed) -> float:
-    """Dispersion self-consistency: the largest relative error with which
-    the split coefficients rebuild the complex propagation constant of the
-    square-root route (physics.propagation_vector), over 1000 densities
-    drawn log-uniformly from params.density_range at seed."""
-    lo, hi = params.density_range
-    rng = np.random.default_rng(seed)
-    density = 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), 1000)
-    alpha, beta = attenuation_phase_coefficients(density, params)
-    reference = propagation_vector(density, params)
-    rebuilt = beta - 1j * alpha
-    return float(np.max(np.abs(rebuilt - reference) / np.abs(reference)))
-
-
 def _cmd_validate_physics(args) -> int:
     """The dispersion check over 1000 random densities."""
-    params = reference_channel_params()
-    worst = _dispersion_error(params, _resolve_config(args).seed)
-    lo, hi = params.density_range
+    # imported here, like a sweep's process pool: start-up skips it
+    from . import checks
+    (lo, hi), worst = checks.dispersion_error(_resolve_config(args).seed)
+    tolerance = checks.DISPERSION_TOLERANCE
     print(f"1000 densities in [{lo:.3g}, {hi:.3g}] per m^3: "
           f"max relative error {worst:.3e}")
-    if worst < _DISPERSION_TOLERANCE:
+    if worst < tolerance:
         print("validate-physics: pass")
         return 0
-    print(f"validate-physics: FAIL (tolerance {_DISPERSION_TOLERANCE:g})")
+    print(f"validate-physics: FAIL (tolerance {tolerance:g})")
     return 1
 
 
-def _selftest_checks():
-    """Yield (name, callable) pairs; each callable raises on failure."""
-
-    def physics_consistency():
-        worst = _dispersion_error(reference_channel_params(), 0)
-        assert worst < _DISPERSION_TOLERANCE, worst
-
-    def constellation_energy():
-        for bits in (1, 2, 3, 4):
-            const = build_constellation(bits)
-            np.testing.assert_allclose(np.abs(const.points), 1.0, atol=1e-12)
-
-    def noise_calibration():
-        const = build_constellation(2)
-        frame = build_frame(4096, 256, rng_seed=7, order=const.order)
-        var = snr_to_noise_variance(10.0)
-        rx = transmit(frame, const, np.ones(4096, dtype=complex), var,
-                      rng_seed=7)
-        noise = rx.samples - const.points[frame.symbols]
-        measured = np.mean(np.abs(noise) ** 2)
-        se = var / np.sqrt(len(noise))
-        assert abs(measured - var) < 5 * se, (measured, var)
-
-    def gradient_check():
-        const = build_constellation(2)
-        model = init_model(const, rng_seed=3)
-        rng = np.random.default_rng(3)
-        y = rng.normal(size=(32, 2))
-        w = rng.uniform(0.1, 1.0, size=(32, 4))
-        w /= w.sum(axis=1, keepdims=True)
-        _, grads = loss_and_gradients(model, y, w)
-        params = model.params
-        idx = rng.choice(grads.size, size=10, replace=False)
-        h = 1e-5  # larger step: FD roundoff must stay below the 1e-6 floor
-        for i in idx:
-            def shifted(delta):
-                moved = params.copy()
-                moved[i] += delta
-                loss, _ = loss_and_gradients(replace(model, params=moved),
-                                             y, w)
-                return loss
-            fd = (shifted(h) - shifted(-h)) / (2 * h)
-            denom = max(abs(fd), abs(grads[i]), 1e-6)
-            assert abs(fd - grads[i]) / denom < 1e-4, (i, fd, grads[i])
-
-    def em_soundness():
-        const = build_constellation(2)
-        frame = build_frame(256, 16, rng_seed=5, order=const.order)
-        rx = transmit(frame, const, np.ones(256, dtype=complex),
-                      snr_to_noise_variance(8.0), rng_seed=5)
-        model = init_model(const, rng_seed=5)
-        # from uniform payload rows, the E-step must not lower the bound
-        start = np.full((len(frame), const.order), 1.0 / const.order)
-        start[frame.pilot_positions] = pilot_weights(frame, const.order)
-        before = elbo(model, rx, start)
-        w = e_step(model, rx, frame)
-        after = elbo(model, rx, w)
-        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
-        assert after >= before - 1e-9, (before, after)
-
-    def genie_noiseless():
-        const = build_constellation(2)
-        frame = build_frame(512, 16, rng_seed=9, order=const.order)
-        rx = transmit(frame, const, np.full(512, 0.6 + 0.2j), 0.0,
-                      rng_seed=9)
-        decisions = genie_ml(rx, const).decisions
-        assert np.array_equal(decisions, frame.symbols)
-
-    def theory_curve():
-        vals = [qpsk_theory_ser(x) for x in (0.0, 4.0, 8.0)]
-        assert all(a > b for a, b in zip(vals, vals[1:])), vals
-
-    def quick_fit():
-        const = build_constellation(2)
-        config = ExperimentConfig(frame_length=512, pilot_intervals=(16,),
-                                  snr_db=(20.0,), pretrain_steps=500,
-                                  em_iterations=5, mstep_steps=60,
-                                  snr_reference="received",
-                                  standard_drude_loss=True)
-        _, gains = build_channel(config)
-        seed, frame, rx = simulate_cell(config, gains, 20.0, 16, 0)
-        result = fit(rx, frame, const, config.schedule(), rng_seed=seed)
-        stats = compute_ser(demodulate(result.weights), frame.symbols,
-                            frame.payload_positions)
-        assert stats.ser < 0.35, stats
-
-    return [
-        ("physics-consistency", physics_consistency),
-        ("constellation-energy", constellation_energy),
-        ("noise-calibration", noise_calibration),
-        ("gradient-check", gradient_check),
-        ("em-soundness", em_soundness),
-        ("genie-noiseless", genie_noiseless),
-        ("theory-curve", theory_curve),
-        ("quick-fit", quick_fit),
-    ]
-
-
 def _cmd_selftest(args) -> int:
+    from . import checks
     failures = 0
-    for name, check in _selftest_checks():
+    for name, check in checks.CHECKS:
         try:
             check()
         except Exception as exc:
@@ -261,17 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="plasma-sheath channel simulator and receiver benchmarks")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sweep = subs.add_parser("ser-sweep", help="SER vs SNR study")
-    _add_run_flags(sweep)
-    sweep.set_defaults(func=_cmd_ser_sweep)
-
-    snaps = subs.add_parser("snapshots", help="training-process snapshots")
-    _add_run_flags(snaps)
-    snaps.set_defaults(func=_cmd_snapshots)
-
-    fading = subs.add_parser("fading", help="fading-estimation study")
-    _add_run_flags(fading)
-    fading.set_defaults(func=_cmd_fading)
+    for name, summary, func in (
+            ("ser-sweep", "SER vs SNR study", _cmd_ser_sweep),
+            ("snapshots", "training-process snapshots", _cmd_snapshots),
+            ("fading", "fading-estimation study", _cmd_fading)):
+        run = subs.add_parser(name, help=summary)
+        run.add_argument("--config", help="config file (key = value lines)")
+        for flag, _, text in _RUN_FLAGS:
+            run.add_argument(flag, help=text)
+        run.set_defaults(func=func)
 
     phys = subs.add_parser("validate-physics",
                            help="dispersion self-consistency oracle")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import plasmalink
-from plasmalink import bench
+from plasmalink import bench, checks
 from plasmalink.bench import (
     ExperimentConfig,
     SerStats,
@@ -571,6 +571,11 @@ def assert_bad_key_names_it(tmp_path, capsys, key, value, message):
     assert not out.exists()
 
 
+# selftest's checks, in the order it runs and prints them
+SELFTEST_CHECKS = ("physics-consistency", "constellation-energy",
+                   "noise-calibration", "gradient-check", "em-soundness",
+                   "genie-noiseless", "theory-curve", "quick-fit")
+
 # a valid text for every run flag
 FLAG_TEXTS = {"--seed": "7", "--outdir": "runs/a b", "--snr": "0, 4",
               "--intervals": "16,256", "--trials": "3",
@@ -625,20 +630,58 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_validate_physics_checks_the_drude_form(self, capsys,
+                                                    monkeypatch):
+        # coefficients off by 1e-6 in the standard Drude form alone fail
+        # the oracle, which reports the worse of the two loss forms
+        exact = checks.attenuation_phase_coefficients
+
+        def drude_off(density, params):
+            alpha, beta = exact(density, params)
+            return alpha, beta * (1 + 1e-6 * params.standard_drude_loss)
+        monkeypatch.setattr(checks, "attenuation_phase_coefficients",
+                            drude_off)
+        assert main(["validate-physics"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "validate-physics: FAIL (tolerance 1e-10)", lines
+
     def test_selftest_passes_every_check(self, capsys):
         assert main(["selftest"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert sum(line.startswith("ok ") for line in lines) == 8, lines
+        assert capsys.readouterr().out.splitlines() == [
+            f"ok   {name}" for name in SELFTEST_CHECKS] + [
+            "selftest: all checks passed"]
+
+    def test_selftest_reports_a_failed_check_and_runs_the_rest(
+            self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "qpsk_theory_ser", lambda snr_db: 0.5)
+        assert main(["selftest"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL theory-curve: [0.5, 0.5, 0.5]" if name == "theory-curve"
+            else f"ok   {name}" for name in SELFTEST_CHECKS] + [
+            "selftest: 1 check(s) failed"]
+
+    def test_selftest_quick_fit_fails_with_the_cell_status(self, capsys,
+                                                           monkeypatch):
+        def overflow(*args, **kwargs):
+            raise FloatingPointError("overflow in test")
+        monkeypatch.setattr(bench, "fit", overflow)
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert ("FAIL quick-fit: failed: FloatingPointError: overflow in "
+                "test\n") in out, out
 
     def test_import_leaves_the_pool_unloaded(self):
-        # the process pool is imported only when a sweep starts one
-        code = ("import sys, plasmalink.cli; "
-                "print('concurrent.futures.process' in sys.modules)")
+        # the process pool is imported only when a sweep starts one, the
+        # checks only when selftest or validate-physics runs, and
+        # numpy.random by neither
+        code = ("import sys, plasmalink.cli; print(sorted(name for name in "
+                "('concurrent.futures.process', 'plasmalink.checks', "
+                "'numpy.random') if name in sys.modules))")
         env = dict(os.environ, PYTHONPATH=str(Path(plasmalink.__file__)
                                               .resolve().parents[1]))
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("case", [
         "config-is-directory", "config-not-utf8", "config-bom-not-utf8",
