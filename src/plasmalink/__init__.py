@@ -2,16 +2,21 @@
 EM-trained symmetric manifold network receiver, reference receivers, and a
 reproducible benchmark harness.
 
-Layer map:
+Layer map, lowest first; a module imports only from the layers above it
+(exceptions and seeding sit under them all):
 
     physics    dispersion formulas, density trajectories, channel gains
-    link       constellations, frames, pilots, noise, received sequences
+    link       constellations, frames, noise, received sequences; the one
+               owner of pilot positions, labels and one-hot weights
     net        the symmetric manifold network and its hand-rolled autodiff
     em         pretraining, the EM loop, demodulation, fading extraction
     baselines  genie ML, pilot-interpolation ML, supervised classifier
     bench      experiment configs, seeded studies, CSV artifacts
     checks     the invariant checks of selftest and validate-physics
     cli        command-line front end over bench and checks
+
+em and baselines are peers: both receivers stand on net, and neither
+imports the other.
 """
 
 from .baselines import (

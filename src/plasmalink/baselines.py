@@ -9,17 +9,18 @@ an independent sanity check of the noise calibration.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .em import EmSchedule, pilot_weights
 from .exceptions import ConfigError, check_fields
-from .link import Constellation, Frame, ReceivedSequence
+from .link import Constellation, Frame, ReceivedSequence, pilot_weights
 from .net import (
     adam_step,
     init_adam,
+    init_model,
     mlp_activations,
     mlp_backward,
     mlp_forward,
@@ -75,7 +76,7 @@ def pilot_interp_ml(received: ReceivedSequence, frame: Frame,
     if len(pilots) < 2:
         raise ConfigError("pilot interpolation needs at least 2 pilots")
     h_pilot = received.samples[pilots] / constellation.points[
-        frame.symbols[pilots]]
+        frame.pilot_labels]
     idx = np.arange(len(received))
     h = (np.interp(idx, pilots, h_pilot.real)
          + 1j * np.interp(idx, pilots, h_pilot.imag))
@@ -91,7 +92,9 @@ class DnnTrainConfig:
     dnn_hidden: int = 16
     dnn_steps: int = 2000
     dnn_learning_rate: float = 1e-3
-    init_std: float = EmSchedule.init_std  # one config key seeds both nets
+    # one config key seeds both nets: net.init_model's default, as the SMN's
+    init_std: float = inspect.signature(init_model).parameters[
+        "init_std"].default
 
     def __post_init__(self):
         check_fields(self, at_least=(("dnn_steps", 0), ("dnn_hidden", 1)),

@@ -51,6 +51,7 @@ from .link import (
     ReceivedSequence,
     build_constellation,
     build_frame,
+    pilot_positions,
     snr_to_noise_variance,
     transmit,
 )
@@ -616,8 +617,7 @@ def run_ser_sweep(config: ExperimentConfig):
                     else:
                         failures.append(f"trial {trial}: {stats}")
                 status = "ok" if not failures else "; ".join(failures)
-                # the pilots link.build_frame puts at 0, interval, ...
-                pilots = len(range(0, config.frame_length, interval))
+                pilots = len(pilot_positions(config.frame_length, interval))
                 util = 1.0 - pilots / config.frame_length
                 records.append({
                     "receiver": receiver, "snr_db": snr,
@@ -638,8 +638,7 @@ def run_ser_sweep(config: ExperimentConfig):
 def _pilot_lam_span(model, rx, frame):
     """Curve-coordinate range of the labeled pilot samples."""
     y = rx.iq()[frame.pilot_positions]
-    labels = frame.symbols[frame.pilot_positions]
-    lam = encode(model, y)[np.arange(len(y)), labels]
+    lam = encode(model, y)[np.arange(len(y)), frame.pilot_labels]
     return float(lam.min()), float(lam.max())
 
 

@@ -34,7 +34,7 @@ from itertools import count, islice
 import numpy as np
 
 from .exceptions import ConfigError, check_fields
-from .link import Constellation, Frame, ReceivedSequence
+from .link import Constellation, Frame, ReceivedSequence, pilot_weights
 # collect_params, with_params and project_all are no longer called here;
 # they stay importable from this module because the benchmark's tracer
 # (perfbench/spans.py) patches them as attributes of it.
@@ -63,7 +63,6 @@ __all__ = [
     "FitResult",
     "GroupFit",
     "FadingEstimate",
-    "pilot_weights",
     "pretrain",
     "e_step",
     "m_step",
@@ -163,14 +162,6 @@ class FadingEstimate:
     estimates: np.ndarray  # (m,) complex gain estimates
 
 
-def pilot_weights(frame: Frame, order: int) -> np.ndarray:
-    """One-hot posterior rows for the pilot subsequence, (n_pilots, K)."""
-    labels = frame.symbols[frame.pilot_positions]
-    w = np.zeros((len(labels), order))
-    w[np.arange(len(labels)), labels] = 1.0
-    return w
-
-
 # ---------------------------------------------------------------------------
 # groups: C cells of one shape, trained in lockstep. The model of a group
 # holds (C, P) parameters and C noise variances; IQ rows are rows-first,
@@ -182,11 +173,11 @@ def pilot_weights(frame: Frame, order: int) -> np.ndarray:
 def _shared_pilots(frames):
     """Pilot positions and labels, which the cells of a group share."""
     positions = frames[0].pilot_positions
-    labels = frames[0].symbols[positions]
+    labels = frames[0].pilot_labels
     for frame in frames[1:]:
         if (len(frame) != len(frames[0])
                 or not np.array_equal(frame.pilot_positions, positions)
-                or not np.array_equal(frame.symbols[positions], labels)):
+                or not np.array_equal(frame.pilot_labels, labels)):
             raise ValueError("the cells of a group must share frame length, "
                              "pilot positions and pilot labels")
     return positions, labels
@@ -205,11 +196,12 @@ def _pilot_batch(model: SmnModel, y: np.ndarray, frames) -> Batch:
     return batch
 
 
-def _group_model(model: SmnModel) -> SmnModel:
-    """One cell's model as a group of one: a (1, P) view of its
-    parameters and one noise variance."""
-    return replace(model, params=model.params[None],
-                   noise_variance=np.array([float(model.noise_variance)]))
+def _group_model(*models: SmnModel) -> SmnModel:
+    """Cell models as one group: their (C, P) stacked parameters and C
+    noise variances."""
+    return replace(models[0], params=np.stack([m.params for m in models]),
+                   noise_variance=np.array([float(m.noise_variance)
+                                            for m in models]))
 
 
 def _cell_model(model: SmnModel, cell: int) -> SmnModel:
@@ -385,11 +377,9 @@ def fitting(received, frames, constellation: Constellation,
     # an errstate cannot be entered twice, so each stretch opens its own
     with np.errstate(over="raise", invalid="raise"):
         pilots = _shared_pilots(frames)
-        models = [init_model(constellation, seed, schedule.hidden_units,
-                             schedule.init_std) for seed in rng_seed]
-        model = replace(models[0],
-                        params=np.stack([m.params for m in models]),
-                        noise_variance=np.ones(len(models)))
+        model = _group_model(*(
+            init_model(constellation, seed, schedule.hidden_units,
+                       schedule.init_std) for seed in rng_seed))
         y = _iq(received)
         pilot_batch = _pilot_batch(model, y, frames)
         model = pretrain(model, received, frames, schedule,

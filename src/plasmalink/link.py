@@ -25,6 +25,8 @@ __all__ = [
     "ReceivedSequence",
     "build_constellation",
     "build_frame",
+    "pilot_positions",
+    "pilot_weights",
     "snr_to_noise_variance",
     "transmit",
 ]
@@ -54,13 +56,12 @@ class Constellation:
 class Frame:
     """Transmitted symbol indices with pilot positions marked.
 
-    Pilot positions are {0, interval, 2*interval, ...}; pilot values cycle
+    Pilot positions are pilot_positions(m, interval); pilot values cycle
     through 0..K-1 in position order, payload values are uniform draws.
     """
 
     symbols: np.ndarray          # int, shape (m,)
     pilot_positions: np.ndarray  # sorted int indices
-    pilot_interval: int
     payload_positions: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -70,6 +71,11 @@ class Frame:
 
     def __len__(self):
         return len(self.symbols)
+
+    @property
+    def pilot_labels(self) -> np.ndarray:
+        """The symbols at the pilot positions, the frame's only labels."""
+        return self.symbols[self.pilot_positions]
 
 
 @dataclass(frozen=True)
@@ -112,17 +118,30 @@ def build_constellation(bits_per_symbol: int) -> Constellation:
     return Constellation(order=order, points=points)
 
 
-def build_frame(m: int, interval: int, rng_seed: int, order: int) -> Frame:
-    """Frame of m symbol indices with pilots every ``interval`` positions."""
+def pilot_positions(m: int, interval: int) -> np.ndarray:
+    """The pilot positions of an m-symbol frame: 0, interval, 2*interval, ..."""
     if interval < 1:
         raise ConfigError("pilot interval must be >= 1")
     if interval > m:
         raise ConfigError(f"pilot interval {interval} exceeds frame length {m}")
-    pilots = np.arange(0, m, interval)
+    return np.arange(0, m, interval)
+
+
+def pilot_weights(frame: Frame, order: int) -> np.ndarray:
+    """One-hot posterior rows for the pilot subsequence, (n_pilots, K)."""
+    labels = frame.pilot_labels
+    w = np.zeros((len(labels), order))
+    w[np.arange(len(labels)), labels] = 1.0
+    return w
+
+
+def build_frame(m: int, interval: int, rng_seed: int, order: int) -> Frame:
+    """Frame of m symbol indices with pilots every ``interval`` positions."""
+    pilots = pilot_positions(m, interval)
     rng = role_rng(rng_seed, "frame")
     symbols = rng.integers(0, order, size=m)
     symbols[pilots] = np.arange(len(pilots)) % order
-    return Frame(symbols=symbols, pilot_positions=pilots, pilot_interval=interval)
+    return Frame(symbols=symbols, pilot_positions=pilots)
 
 
 def snr_to_noise_variance(snr_db: float, symbol_energy: float = 1.0) -> float:

@@ -100,8 +100,7 @@ class TestPilotInterpMl:
     def test_fewer_than_two_pilots_rejected(self):
         const = build_constellation(2)
         frame = Frame(symbols=np.zeros(16, dtype=int),
-                      pilot_positions=np.array([0]),
-                      pilot_interval=16)
+                      pilot_positions=np.array([0]))
         rx = transmit(frame, const, np.ones(16, dtype=complex), 0.0,
                       rng_seed=0)
         with pytest.raises(ConfigError, match="pilot"):

@@ -1,5 +1,6 @@
 """Tests for the experiment driver: config format, sweeps, snapshots, CLI."""
 
+import ast
 import csv
 import os
 import subprocess
@@ -659,6 +660,27 @@ class TestCli:
             "FAIL theory-curve: [0.5, 0.5, 0.5]" if name == "theory-curve"
             else f"ok   {name}" for name in SELFTEST_CHECKS] + [
             "selftest: 1 check(s) failed"]
+
+    def test_selftest_fails_a_check_under_python_O(self):
+        # python -O strips bare asserts; a check must raise there too
+        code = ("import sys; from plasmalink import checks, cli; "
+                "checks.qpsk_theory_ser = lambda snr_db: 0.5; "
+                "checks.CHECKS = tuple(c for c in checks.CHECKS "
+                "if c[0] == 'theory-curve'); "
+                "sys.exit(cli.main(['selftest']))")
+        env = dict(os.environ, PYTHONPATH=str(Path(plasmalink.__file__)
+                                              .resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 1, out
+        assert out.stdout.splitlines() == [
+            "FAIL theory-curve: [0.5, 0.5, 0.5]",
+            "selftest: 1 check(s) failed"]
+
+    def test_checks_hold_no_bare_assert(self):
+        tree = ast.parse(Path(checks.__file__).read_text())
+        assert not [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Assert)]
 
     def test_selftest_quick_fit_fails_with_the_cell_status(self, capsys,
                                                            monkeypatch):

@@ -21,7 +21,6 @@ from plasmalink.em import (
     fit,
     fitting,
     m_step,
-    pilot_weights,
     pretrain,
 )
 from plasmalink.exceptions import ConfigError
@@ -31,6 +30,7 @@ from plasmalink.link import (
     ReceivedSequence,
     build_constellation,
     build_frame,
+    pilot_weights,
     snr_to_noise_variance,
     transmit,
 )
@@ -229,8 +229,7 @@ class TestPretrain:
         const = build_constellation(2)
         symbols = np.zeros(32, dtype=int)  # pilots never show symbols 1..3
         frame = Frame(symbols=symbols,
-                      pilot_positions=np.arange(0, 32, 8),
-                      pilot_interval=8)
+                      pilot_positions=np.arange(0, 32, 8))
         rx = transmit(frame, const, np.ones(32, dtype=complex), 0.0,
                       rng_seed=0)
         model = init_model(const, rng_seed=0)
@@ -456,8 +455,7 @@ class TestExtractFadingCurve:
     def test_empty_payload_rejected(self):
         const, frame, rx, result = self.fitted()
         all_pilot = Frame(symbols=frame.symbols,
-                          pilot_positions=np.arange(len(frame)),
-                          pilot_interval=1)
+                          pilot_positions=np.arange(len(frame)))
         with pytest.raises(ValueError, match="payload"):
             extract_fading_curve(result.model, rx, result.weights,
                                  frame=all_pilot)

@@ -15,6 +15,8 @@ from plasmalink.exceptions import ConfigError
 from plasmalink.link import (
     build_constellation,
     build_frame,
+    pilot_positions,
+    pilot_weights,
     snr_to_noise_variance,
     transmit,
 )
@@ -98,6 +100,22 @@ class TestFrame:
             build_frame(16, 0, rng_seed=0, order=2)
         with pytest.raises(ConfigError):
             build_frame(16, 32, rng_seed=0, order=2)
+
+    @pytest.mark.parametrize("m, interval", [(4096, 256), (100, 16), (7, 7)])
+    def test_frame_places_pilots_at_pilot_positions(self, m, interval):
+        frame = build_frame(m, interval, rng_seed=2, order=4)
+        np.testing.assert_array_equal(frame.pilot_positions,
+                                      pilot_positions(m, interval))
+
+    def test_pilot_labels_and_weights(self):
+        frame = build_frame(64, 4, rng_seed=3, order=4)
+        labels = frame.pilot_labels
+        np.testing.assert_array_equal(labels,
+                                      frame.symbols[frame.pilot_positions])
+        w = pilot_weights(frame, 4)
+        assert w.shape == (16, 4)
+        np.testing.assert_array_equal(w.sum(axis=1), 1.0)
+        np.testing.assert_array_equal(w[np.arange(16), labels], 1.0)
 
 
 class TestNoiseVariance:
