@@ -648,10 +648,9 @@ def run_learning_snapshots(config: ExperimentConfig):
     Snapshot 0 is the raw received data (no curves); 1 and 2 are two
     pretraining states; 3 and 4 are two EM states (em_iterations >= 4
     leaves room for both); 5 is the final state, the one em.fit returns
-    (step max(em_iterations - 1, 0)), whose decisions are also written
-    out. Emits received.csv,
-    snapshot_manifest.csv, snapshot_curves.csv, decisions.csv, trace.csv,
-    weights.csv and the archived config.
+    (EmSchedule.final_state), whose decisions are also written out. Emits
+    received.csv, snapshot_manifest.csv, snapshot_curves.csv,
+    decisions.csv, trace.csv, weights.csv and the archived config.
     """
     gains, out_dir = _open_study(config, [
         "received.csv", "snapshot_manifest.csv", "snapshot_curves.csv",
@@ -664,8 +663,7 @@ def run_learning_snapshots(config: ExperimentConfig):
     schedule = config.schedule()
     steps = schedule.pretrain_steps
     early = max(1, steps // 8)
-    # the state fit returns
-    final = max(schedule.em_iterations - 1, 0)
+    final = schedule.final_state
 
     run = partial(fitting, (rx,), (frame,), const, rng_seed=(seed,))
     # (phase, step, model) of each curve snapshot; Adam and EM read only

@@ -20,7 +20,8 @@ The evidence lower bound
 must never decrease across an E-step (the E-step zeroes the KL gap), which
 fitting() checks before it yields each state of a run; a violation means
 the posterior or the likelihood is wrong and raises immediately. fitting()
-says how its states pair models and posteriors; fit(), where it stops.
+says how its states pair models and posteriors and which Batch each phase
+lays out; EmSchedule.final_state, where a fit stops.
 """
 
 from __future__ import annotations
@@ -102,6 +103,13 @@ class EmSchedule:
         check_fields(self, at_least=(
             ("pretrain_steps", 0), ("em_iterations", 0), ("mstep_steps", 0),
             ("hidden_units", 1)), positive=("learning_rate", "init_std"))
+
+    @property
+    def final_state(self) -> int:
+        """The state of fitting a fit stops at: E EM iterations end at the
+        E-th E-step, pretraining's counted, since an M-step after the last
+        E-step would change no decision."""
+        return max(self.em_iterations - 1, 0)
 
 
 # TraceRecord's float fields: each is checked finite, and summed in a group
@@ -225,15 +233,15 @@ def _train(model: SmnModel, batch: Batch, steps: int,
     return model
 
 
-def pretrain(model: SmnModel, received, frames, schedule: EmSchedule,
-             pilots: Batch | None = None) -> SmnModel:
+def pretrain(model: SmnModel, received, frames, schedule: EmSchedule):
     """Fit the curves of a group to its pilot samples alone, labels known.
 
     Takes a group model ((C, P) parameters) and the sequences of the
-    cells' received sequences and frames, and returns the trained group
-    model. pilots, when given, is the Batch of the pilot rows (see
-    fitting). Every constellation symbol needs at least one pilot,
-    otherwise its curve (and encoder) is unidentifiable.
+    cells' received sequences and frames, and returns (model, residual)
+    as m_step does: each cell's pilot residual, the weighted MSE on its
+    one-hot pilot rows, is its sigma^2, raised to the floor with a warning.
+    The pilot Batch is pretraining's own. Every constellation symbol needs
+    at least one pilot, otherwise its curve (and encoder) is unidentifiable.
     """
     _, labels = _shared_pilots(frames)
     missing = sorted(set(range(model.order)) - set(labels.tolist()))
@@ -241,10 +249,12 @@ def pretrain(model: SmnModel, received, frames, schedule: EmSchedule,
         raise ConfigError(f"symbols {missing} have no pilots; "
                           "their curves are unidentifiable")
     model = replace(model, params=model.params.copy())
-    if pilots is None:
-        pilots = _pilot_batch(model, _iq(received), frames)
-    return _train(model, pilots, schedule.pretrain_steps,
-                  schedule.learning_rate)
+    pilots = _pilot_batch(model, _iq(received), frames)
+    model = _train(model, pilots, schedule.pretrain_steps,
+                   schedule.learning_rate)
+    resid = weighted_loss(model, pilots)
+    return replace(model, noise_variance=_clamped(
+        resid, "pilot residual %.3g clamped to %.1g")), resid
 
 
 def _clamped(variances, message: str):
@@ -363,12 +373,11 @@ def fitting(received, frames, constellation: Constellation,
     and after the E-step of model i; row 0 holds the pilot residual and
     the bound of state 0.
 
-    The initial noise variance is the pilot residual after pretraining (the
-    only data-driven estimate before the first E-step), raised to the floor
-    with a warning like every later one. Two Batches serve the fit: the
-    pilot rows (pretraining and that residual) and the frame rows, whose
-    weights each E-step replaces; every posterior, bound and loss of a
-    curve state reads one distances call. The work between states, never
+    The initial noise variance is pretrain's pilot residual. Each phase
+    has its own Batch: pretrain's pilot rows go with it, and the fit keeps
+    only the frame rows, whose weights each E-step replaces; every
+    posterior, bound and loss of a curve state reads one distances call.
+    fit stops at EmSchedule.final_state. The work between states, never
     the caller's, raises FloatingPointError on a NumPy overflow or invalid
     value. Raises RuntimeError if the lower bound of any cell ever drops
     across an E-step beyond a 1e-9 tolerance; that invariant holds
@@ -377,17 +386,11 @@ def fitting(received, frames, constellation: Constellation,
     # an errstate cannot be entered twice, so each stretch opens its own
     with np.errstate(over="raise", invalid="raise"):
         pilots = _shared_pilots(frames)
-        model = _group_model(*(
+        model, pilot_resid = pretrain(_group_model(*(
             init_model(constellation, seed, schedule.hidden_units,
-                       schedule.init_std) for seed in rng_seed))
-        y = _iq(received)
-        pilot_batch = _pilot_batch(model, y, frames)
-        model = pretrain(model, received, frames, schedule,
-                         pilots=pilot_batch)
-        pilot_resid = weighted_loss(model, pilot_batch)
-        model = replace(model, noise_variance=_clamped(
-            pilot_resid, "pilot residual %.3g clamped to %.1g"))
-        batch = Batch(model, y)
+                       schedule.init_std) for seed in rng_seed)),
+            received, frames, schedule)
+        batch = Batch(model, _iq(received))
         d2 = distances(model, batch)
         w = _posterior(model, d2, pilots)
         start = _bound(model, d2, w)
@@ -424,18 +427,16 @@ def fitting(received, frames, constellation: Constellation,
 
 def fit(received, frame, constellation: Constellation,
         schedule: EmSchedule = EmSchedule(), rng_seed=0):
-    """State max(E - 1, 0) of fitting, E = schedule.em_iterations: a
-    GroupFit, or for one cell (a ReceivedSequence, its Frame and an int
-    seed) its FitResult. E EM iterations end at the E-th E-step, counting
-    pretraining's, so they run max(E - 1, 0) M-steps; an M-step after the
-    last E-step would change no decision. A caller that reads states on
-    the way drives fitting."""
+    """State schedule.final_state of fitting: a GroupFit, or for one cell
+    (a ReceivedSequence, its Frame and an int seed) its FitResult. Its
+    phases are fitting's, each with its own Batch. A caller that reads
+    states on the way drives fitting."""
     if isinstance(received, ReceivedSequence):
         return fit((received,), (frame,), constellation, schedule,
                    (rng_seed,))[0]
     return next(islice(fitting(received, frame, constellation, schedule,
                                rng_seed),
-                       max(schedule.em_iterations - 1, 0), None))
+                       schedule.final_state, None))
 
 
 def demodulate(w: np.ndarray) -> np.ndarray:

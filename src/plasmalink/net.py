@@ -442,7 +442,7 @@ class Batch:
     at a time.
     """
 
-    __slots__ = ("x", "u", "w", "widths", "passes")
+    __slots__ = ("x", "u", "w", "widths", "passes", "__weakref__")
 
     def __init__(self, model: SmnModel, y, w=None):
         y = np.asarray(y, dtype=float)

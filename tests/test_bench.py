@@ -500,6 +500,23 @@ class TestSnapshots:
                       for line in w_lines[2:]])
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("iterations", [0, 1, 2])
+    def test_final_snapshot_is_the_fit(self, tmp_path, iterations):
+        # the snapshot study stops where fit does: E iterations end at
+        # state max(E - 1, 0), whose trace has max(E, 1) rows
+        config = quick_config(out_dir=str(tmp_path),
+                              em_iterations=iterations)
+        result, frame, rx = run_learning_snapshots(config)
+        seed = cell_seed(config.seed, config.snr_db[0],
+                         config.pilot_intervals[0], 0)
+        fitted = fit(rx, frame, build_constellation(config.bits_per_symbol),
+                     config.schedule(), rng_seed=seed)
+        np.testing.assert_array_equal(result.model.params,
+                                      fitted.model.params)
+        np.testing.assert_array_equal(result.weights, fitted.weights)
+        assert result.trace == fitted.trace
+        assert len(result.trace) == max(iterations, 1)
+
     def test_trace_csv_written(self, tmp_path):
         # two iterations end at state 1: the pretraining row and one EM row
         config = quick_config(out_dir=str(tmp_path))

@@ -1,7 +1,9 @@
 """Tests for the EM training loop: posteriors, bound, schedule, extraction."""
 
+import gc
 import logging
 import tracemalloc
+import weakref
 from dataclasses import replace
 from itertools import islice
 
@@ -55,8 +57,8 @@ def zero_model(constellation, noise_variance=1.0):
 def pretrain_cell(model, rx, frame, schedule):
     """One cell's model after pretrain: its group of one goes in as
     one-element tuples and row 0 comes out."""
-    group = pretrain(replace(model, params=model.params[None]), (rx,),
-                     (frame,), schedule)
+    group, _ = pretrain(replace(model, params=model.params[None]),
+                        (rx,), (frame,), schedule)
     return replace(model, params=group.params[0])
 
 
@@ -236,6 +238,33 @@ class TestPretrain:
         with pytest.raises(ConfigError, match=r"\[1, 2, 3\]"):
             pretrain_cell(model, rx, frame, EmSchedule())
 
+    def test_returns_the_pilot_residual_as_noise_variance(self):
+        # pretraining is the whole pilot phase: its residual is each
+        # cell's training loss on its one-hot pilot rows, bit for bit,
+        # sigma^2 is that residual at the floor, and fitting's state 0
+        # starts from both
+        cells = [static_run(0.8 + 0.1j, snr_db=snr, seed=64)
+                 for snr in (6.0, 12.0)]
+        const, seeds = cells[0][0], (64, 65)
+        frames = tuple(frame for _, frame, _ in cells)
+        received = tuple(rx for _, _, rx in cells)
+        schedule = EmSchedule(pretrain_steps=30)
+        models = [init_model(const, seed) for seed in seeds]
+        model, resid = pretrain(em_module._group_model(*models), received,
+                                frames, schedule)
+        for c, (cell, (_, frame, rx)) in enumerate(zip(models, cells)):
+            assert resid[c] == weighted_loss(
+                replace(cell, params=model.params[c]),
+                rx.iq()[frame.pilot_positions],
+                pilot_weights(frame, const.order))
+        np.testing.assert_array_equal(
+            model.noise_variance, np.maximum(resid, NOISE_VARIANCE_FLOOR))
+        state = next(fitting(received, frames, const, schedule, seeds))
+        for c, result in enumerate(state):
+            (row,) = result.trace
+            assert row.loss_before_m == row.loss_after_m == resid[c]
+            assert row.noise_variance == model.noise_variance[c]
+
 
 class TestFit:
     def test_zero_iterations_equals_pretrain(self):
@@ -304,6 +333,24 @@ class TestFit:
         finally:
             tracemalloc.stop()
         assert after - before < 64 * 1024
+
+    def test_pilot_batch_goes_with_pretraining(self, monkeypatch):
+        # the pilot rows are pretraining's alone: past state 0, the fit
+        # holds no reference to their Batch
+        const, frame, rx = static_run(0.75, snr_db=10.0, seed=56)
+        make, made = em_module._pilot_batch, []
+
+        def keeping(*args):
+            batch = make(*args)
+            made.append(weakref.ref(batch))
+            return batch
+
+        monkeypatch.setattr(em_module, "_pilot_batch", keeping)
+        run = fitting((rx,), (frame,), const,
+                      EmSchedule(pretrain_steps=5, mstep_steps=3), (56,))
+        next(islice(run, 1, None))
+        gc.collect()
+        assert len(made) == 1 and made[0]() is None
 
     def test_bit_reproducible(self):
         const, frame, rx = static_run(0.7 + 0.2j, snr_db=8.0, seed=51)
